@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from baselines import mine_catalog_pre_fusion
 from repro.bucketing import SortingEquiDepthBucketizer, count_many, count_relation_buckets
 from repro.bucketing.counting import (
     AxisSpec,
@@ -390,8 +391,10 @@ def test_bench_streaming_catalog(
     configuration verbatim — the legacy ``csv.reader`` row parser
     (``CSVSource(fast=False)``), no projection pushdown (a ``ChunkedSource``
     wrapper ignores scan-column hints, as every pre-fusion source did), and
-    the one-counting-scan-per-request-group prefetch (``fused=False``) —
-    while the new path is the shipped default: the ``ScanPlan`` engine's one
+    the sampling-scan-then-counting-scan prefetch of
+    ``baselines.PreFusionProfileBuilder`` (``count_value_chunk`` per
+    attribute) — while the new path is the shipped default: the
+    ``ScanPlan`` engine's one
     physical scan over the block-tokenizer ``CSVSource``.  Both mine with
     the same seeded rng and must return bit-identical catalogs; end-to-end
     throughput (tuples/s, CSV parsing included) and the old-vs-new speedup
@@ -408,12 +411,10 @@ def test_bench_streaming_catalog(
         # schema inference also happened inside the mining call.
         legacy_csv = CSVSource(path, chunk_size=chunk_size, fast=False)
         old_source = ChunkedSource(lambda: legacy_csv.chunks())
-        held["old"] = mine_rule_catalog(
+        held["old"] = mine_catalog_pre_fusion(
             old_source,
             num_buckets=sizes["num_buckets"],
-            executor="streaming",
             rng=np.random.default_rng(7),
-            fused=False,
         )
 
     def run_new() -> None:

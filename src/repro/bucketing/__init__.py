@@ -2,9 +2,12 @@
 
 Implements §2.3 and §3 of the paper: the bucket model, exact equi-depth
 bucketing by sorting (the Naive Sort / Vertical Split Sort baselines of the
-Figure 9 experiment), the randomized sampling bucketizer of Algorithm 3.1,
-the parallel counting scheme of Algorithm 3.2, the sample-size analysis
-behind Figure 1, and the granularity error bounds behind Table I.
+Figure 9 experiment), the randomized sampling bucketizer of Algorithm 3.1
+(with :class:`ReservoirSampler` for its out-of-core sampling step), the
+chunk counting kernels whose partials merge by summing, the sample-size
+analysis behind Figure 1, and the granularity error bounds behind Table I.
+Algorithm 3.2's parallel counting runs in :mod:`repro.pipeline`
+(``ProfileBuilder(executor="multiprocessing")``).
 """
 
 from repro.bucketing.base import Bucket, Bucketing, Bucketizer
@@ -34,7 +37,6 @@ from repro.bucketing.errors import (
     support_interval,
 )
 from repro.bucketing.finest import FinestBucketizer, finest_bucketing
-from repro.bucketing.parallel import ParallelBucketCounter, ParallelCountResult
 from repro.bucketing.sample_size import (
     SampleSizeCurve,
     deviation_probability,
@@ -42,12 +44,7 @@ from repro.bucketing.sample_size import (
     recommended_sample_factor,
     sample_size_curve,
 )
-from repro.bucketing.streaming import (
-    ReservoirSampler,
-    StreamingBucketCounter,
-    build_streaming_profile,
-    streaming_equidepth_bucketing,
-)
+from repro.bucketing.streaming import ReservoirSampler
 
 __all__ = [
     "Bucket",
@@ -62,8 +59,6 @@ __all__ = [
     "vertical_split_sort_bucketing",
     "SampledEquiDepthBucketizer",
     "DEFAULT_SAMPLE_FACTOR",
-    "ParallelBucketCounter",
-    "ParallelCountResult",
     "BucketCounts",
     "ChunkCounts",
     "count_relation_buckets",
@@ -83,7 +78,4 @@ __all__ = [
     "granularity_error_table",
     "GranularityErrorRow",
     "ReservoirSampler",
-    "StreamingBucketCounter",
-    "streaming_equidepth_bucketing",
-    "build_streaming_profile",
 ]

@@ -32,9 +32,8 @@ Chunk kernel
 ------------
 :func:`count_value_chunk` packages the same primitives as a picklable,
 chunk-at-a-time kernel returning :class:`ChunkCounts` partials that merge by
-summing.  It is the single counting implementation behind the
-``repro.pipeline`` executors, the streaming counter, and the Algorithm 3.2
-parallel counter.
+summing — the one-segment case of the fused plan kernel below, which is
+what the ``repro.pipeline`` executors run.
 
 Grid kernel
 -----------
@@ -103,7 +102,12 @@ def _mask_matrix_chunk_elements(chunk_elements: int | None = None) -> int:
     """Resolve the mask-matrix temporary budget (keyword > env > default)."""
     if chunk_elements is None:
         raw = os.environ.get("REPRO_MASK_MATRIX_CHUNK_ELEMENTS", "")
-        chunk_elements = int(raw) if raw else _MASK_MATRIX_CHUNK_ELEMENTS
+        try:
+            chunk_elements = int(raw) if raw else _MASK_MATRIX_CHUNK_ELEMENTS
+        except ValueError:
+            raise BucketingError(
+                f"REPRO_MASK_MATRIX_CHUNK_ELEMENTS must be an integer, got {raw!r}"
+            ) from None
     if chunk_elements <= 0:
         raise BucketingError("mask-matrix chunk elements budget must be positive")
     return int(chunk_elements)
@@ -372,11 +376,9 @@ def count_value_chunk(
     One ``searchsorted`` assignment pass over the chunk feeds every output:
     ``sizes`` from a plain ``bincount``, all ``masks`` rows from the
     mask-matrix kernel :func:`masked_bucket_counts`, all ``weights`` rows
-    from weighted bincounts, and the data bounds from one sort.  Module
-    level (and numpy-only in its arguments) so a ``ProcessPoolExecutor``
-    can run it in worker processes unchanged — every counting path in the
-    repository (in-memory, streaming, parallel, pipeline executors) reduces
-    to this function plus :meth:`ChunkCounts.merge`.
+    from weighted bincounts, and the data bounds from one sort.  It is the
+    one-segment case of :func:`count_plan_chunk`, so its partials equal
+    what the pipeline's plan fold counts for the same chunk.
 
     ``with_bounds=False`` skips the sort behind the per-bucket data bounds
     (``lows``/``highs`` stay ``nan``) for callers that only need counts —

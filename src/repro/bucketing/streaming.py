@@ -1,47 +1,25 @@
-"""Out-of-core flavoured bucketing: reservoir sampling and chunked counting.
+"""Out-of-core flavoured bucketing: reservoir sampling of a stream.
 
 The whole point of Algorithm 3.1 is that the relation is too large to sort —
-in the paper it lives on disk and is only ever *scanned*.  This module
-provides the streaming building blocks the unified pipeline
-(:mod:`repro.pipeline`) composes:
-
-* :class:`ReservoirSampler` — a classic reservoir sampler that maintains a
-  uniform random sample of a stream without knowing its length; it replaces
-  the "S-sized random sample" step when the data cannot be indexed.  The
-  sample it produces is invariant to how the stream is chunked, so every
-  :class:`~repro.pipeline.DataSource` over the same tuples yields the same
-  bucket boundaries.
-* :class:`StreamingBucketCounter` — accumulates per-bucket tuple counts and
-  per-objective conditional counts chunk by chunk (the same merge-by-summing
-  structure as the parallel Algorithm 3.2); counting delegates to the shared
-  kernel :func:`repro.bucketing.counting.count_value_chunk`.
-* :func:`streaming_equidepth_bucketing` — Algorithm 3.1 steps 1–3 over a
-  chunk stream; this is the boundary-sampling strategy
-  :class:`~repro.pipeline.ProfileBuilder` runs in its first pass.
-* :func:`build_streaming_profile` — **deprecated** thin shim over
-  ``ProfileBuilder`` kept for the pre-pipeline API; new code should build a
-  :class:`~repro.pipeline.ChunkedSource` and use the pipeline directly.
+in the paper it lives on disk and is only ever *scanned*.
+:class:`ReservoirSampler` is the classic reservoir sampler that maintains a
+uniform random sample of a stream without knowing its length; it replaces
+the "S-sized random sample" step when the data cannot be indexed.  The
+sample it produces is invariant to how the stream is chunked, so every
+:class:`~repro.pipeline.DataSource` over the same tuples yields the same
+bucket boundaries.  :class:`~repro.pipeline.ProfileBuilder` runs it in the
+boundary-sampling pass of every scan plan (Algorithm 3.1 steps 1–3).
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from repro.bucketing.base import Bucketing
-from repro.bucketing.counting import ChunkCounts, count_value_chunk
-from repro.bucketing.equidepth_sort import equidepth_cuts_from_sorted
-from repro.core.profile import BucketProfile
 from repro.exceptions import BucketingError
 
-__all__ = [
-    "ReservoirSampler",
-    "StreamingBucketCounter",
-    "streaming_equidepth_bucketing",
-    "build_streaming_profile",
-]
+__all__ = ["ReservoirSampler"]
 
 
 class ReservoirSampler:
@@ -110,164 +88,3 @@ class ReservoirSampler:
     def sample(self) -> np.ndarray:
         """The current sample (a copy; at most ``capacity`` values)."""
         return self._reservoir[: min(self._seen, self._capacity)].copy()
-
-
-class StreamingBucketCounter:
-    """Accumulate bucket counts over a stream of (values, masks) chunks.
-
-    Each chunk runs through the shared counting kernel
-    :func:`~repro.bucketing.counting.count_value_chunk` and the resulting
-    :class:`~repro.bucketing.counting.ChunkCounts` partial merges into the
-    running totals — the same structure the pipeline executors use.
-    """
-
-    def __init__(self, bucketing: Bucketing, objective_labels: list[str] | None = None) -> None:
-        self._bucketing = bucketing
-        self._labels = list(objective_labels or [])
-        self._totals = ChunkCounts.zeros(
-            bucketing.num_buckets, num_masks=len(self._labels)
-        )
-
-    @property
-    def bucketing(self) -> Bucketing:
-        """The bucket boundaries being counted against."""
-        return self._bucketing
-
-    @property
-    def total(self) -> int:
-        """Number of tuples counted so far."""
-        return self._totals.num_tuples
-
-    def update(
-        self,
-        values: np.ndarray,
-        masks: dict[str, np.ndarray] | None = None,
-    ) -> None:
-        """Add one chunk of attribute values (and objective masks) to the counts."""
-        chunk = np.asarray(values, dtype=np.float64).ravel()
-        if chunk.size == 0:
-            return
-        mask_matrix = np.empty((len(self._labels), chunk.size), dtype=bool)
-        for row, label in enumerate(self._labels):
-            if masks is None or label not in masks:
-                raise BucketingError(f"chunk is missing the mask for objective {label!r}")
-            mask = np.asarray(masks[label], dtype=bool).ravel()
-            if mask.shape != chunk.shape:
-                raise BucketingError(
-                    f"mask for {label!r} has shape {mask.shape}, expected {chunk.shape}"
-                )
-            mask_matrix[row] = mask
-        self._totals.merge(
-            count_value_chunk(
-                chunk,
-                self._bucketing.cuts,
-                masks=mask_matrix if self._labels else None,
-            )
-        )
-
-    def sizes(self) -> np.ndarray:
-        """Accumulated per-bucket tuple counts."""
-        return self._totals.sizes.copy()
-
-    def conditional(self, label: str) -> np.ndarray:
-        """Accumulated per-bucket counts for one objective."""
-        if label not in self._labels:
-            raise BucketingError(f"unknown objective label {label!r}")
-        return self._totals.conditional[self._labels.index(label)].copy()
-
-    def to_profile(self, label: str, attribute: str = "A") -> BucketProfile:
-        """Materialize a :class:`BucketProfile` for one objective.
-
-        Empty buckets are dropped (as the in-memory profile builder does), so
-        the result feeds straight into the solvers.
-        """
-        sizes = self._totals.sizes.astype(np.float64)
-        values = self.conditional(label).astype(np.float64)
-        keep = sizes > 0
-        if not np.any(keep):
-            raise BucketingError("no tuples have been counted yet")
-        return BucketProfile(
-            attribute=attribute,
-            objective_label=label,
-            sizes=sizes[keep],
-            values=values[keep],
-            lows=self._totals.lows[keep],
-            highs=self._totals.highs[keep],
-            total=float(self.total),
-        )
-
-
-def streaming_equidepth_bucketing(
-    chunks: Iterable[np.ndarray],
-    num_buckets: int,
-    sample_factor: int = 40,
-    rng: np.random.Generator | None = None,
-    deduplicate: bool = True,
-) -> Bucketing:
-    """Algorithm 3.1 step 1–3 over a stream: reservoir sample, sort, cut."""
-    if num_buckets <= 0:
-        raise BucketingError("num_buckets must be positive")
-    if num_buckets == 1:
-        # Still consume the stream so callers can reuse exhausted iterators safely.
-        for _ in chunks:
-            pass
-        return Bucketing.single_bucket()
-    sampler = ReservoirSampler(sample_factor * num_buckets, rng=rng)
-    for chunk in chunks:
-        sampler.extend(chunk)
-    sample = sampler.sample()
-    if sample.size == 0:
-        raise BucketingError("the stream contained no values")
-    sample.sort(kind="stable")
-    bucketing = equidepth_cuts_from_sorted(sample, num_buckets)
-    return bucketing.deduplicated() if deduplicate else bucketing
-
-
-def build_streaming_profile(
-    chunk_factory: Callable[[], Iterator[tuple[np.ndarray, np.ndarray]]],
-    num_buckets: int,
-    attribute: str = "A",
-    objective_label: str = "C",
-    sample_factor: int = 40,
-    rng: np.random.Generator | None = None,
-) -> BucketProfile:
-    """Two-pass profile construction over chunked ``(values, objective_mask)`` data.
-
-    .. deprecated::
-        This is a thin compatibility shim over the unified pipeline; build a
-        :class:`repro.pipeline.ChunkedSource` (or ``CSVSource``) and a
-        :class:`repro.pipeline.ProfileBuilder` instead — they also give you
-        multiple objectives per scan and a choice of executors.
-
-    ``chunk_factory`` must return a *fresh* iterator each time it is called
-    (the first pass draws the sample, the second pass counts) — exactly the
-    two sequential scans the paper's system performs over the database file.
-    """
-    warnings.warn(
-        "build_streaming_profile is deprecated; use repro.pipeline.ProfileBuilder "
-        "with a ChunkedSource or CSVSource",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Imported here: repro.pipeline itself builds on this module.
-    from repro.pipeline.builder import ProfileBuilder
-    from repro.pipeline.sources import ChunkedSource
-    from repro.relation.conditions import BooleanIs
-
-    first_pass = (values for values, _ in chunk_factory())
-    bucketing = streaming_equidepth_bucketing(
-        first_pass, num_buckets, sample_factor=sample_factor, rng=rng
-    )
-    source = ChunkedSource.from_arrays(
-        chunk_factory, attribute=attribute, objective="objective"
-    )
-    builder = ProfileBuilder(
-        num_buckets=num_buckets, sample_factor=sample_factor, executor="streaming"
-    )
-    return builder.build_profile(
-        source,
-        attribute,
-        BooleanIs("objective", True),
-        bucketing=bucketing,
-        label=objective_label,
-    )

@@ -557,14 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=8,
-        help="request worker threads of the stdlib tier (default: 8)",
-    )
-    serve_parser.add_argument(
-        "--tier",
-        choices=("auto", "stdlib", "fastapi"),
-        default=None,
-        help="HTTP front-end tier (default: REPRO_SERVICE_TIER or auto; "
-        "both tiers run the identical request handler)",
+        help="request worker threads of the HTTP server (default: 8)",
     )
     serve_parser.add_argument(
         "--executor",
@@ -1128,12 +1121,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     import os
 
     from repro.exceptions import ServiceError
-    from repro.service import (
-        RuleService,
-        ServiceConfig,
-        resolve_service_tier,
-        serve_forever,
-    )
+    from repro.service import RuleService, ServiceConfig, serve_forever
 
     token = args.token
     if args.token_env is not None:
@@ -1159,28 +1147,13 @@ def _run_serve(args: argparse.Namespace) -> int:
         top=args.top,
     )
     service = RuleService(config)
-    tier = resolve_service_tier(args.tier)
     auth = "bearer-token auth" if token else "no auth (pass --token/--token-env)"
     print(
         f"serving {config.data} ({config.source}) on "
-        f"http://{args.host}:{args.port} [{tier} tier, {auth}, "
+        f"http://{args.host}:{args.port} [{auth}, "
         f"store: {config.store or 'disabled'}]",
         flush=True,
     )
-    if tier == "fastapi":  # pragma: no cover - needs fastapi + uvicorn
-        import json as _json
-
-        import uvicorn
-
-        from repro.service.fastapi_app import CONFIG_ENV, build_fastapi_app
-
-        # Stamp the config for any worker re-exec (uvicorn reload/workers).
-        os.environ.setdefault(
-            CONFIG_ENV,
-            _json.dumps({k: getattr(config, k) for k in ServiceConfig.__dataclass_fields__ if k != "extra"}),
-        )
-        uvicorn.run(build_fastapi_app(service), host=args.host, port=args.port)
-        return 0
     serve_forever(service, host=args.host, port=args.port, workers=args.workers)
     return 0
 

@@ -180,12 +180,6 @@ class OptimizedRuleMiner:
         Optional pre-configured :class:`~repro.pipeline.ProfileBuilder`
         (overrides ``executor``; its ``num_buckets`` governs streaming
         builds).
-    fused:
-        Whether streaming profile construction runs through the fused
-        :class:`~repro.pipeline.ScanPlan` engine (default) or the
-        pre-fusion one-counting-scan-per-request-group path (the reference
-        baseline; results are identical).  Ignored when ``builder`` is
-        given.
     store:
         Optional :class:`~repro.store.ProfileStore`.  The batch entry
         points (:meth:`solve_many` / :meth:`mine_many`) over a streaming
@@ -204,7 +198,6 @@ class OptimizedRuleMiner:
         engine: str = "fast",
         executor: str = "serial",
         builder: ProfileBuilder | None = None,
-        fused: bool = True,
         store: "ProfileStore | None" = None,
         kernel_tier: str | None = None,
     ) -> None:
@@ -240,7 +233,6 @@ class OptimizedRuleMiner:
                 num_buckets=num_buckets,
                 executor=executor,
                 seed=seed,
-                fused=fused,
                 kernel_tier=kernel_tier,
             )
         self._store = store
@@ -664,17 +656,11 @@ class OptimizedRuleMiner:
         **one** :class:`~repro.pipeline.ScanPlan`, so a single fused fold
         over the source (one physical scan, including the boundary sampling
         of every uncached attribute) produces every profile the tasks need.
-        With an unfused builder (``fused=False``) the pre-fusion behavior is
-        kept: one counting scan for the plain specs plus one additional scan
-        per ``(attribute, objective)`` conjunct group.
         """
         if self._relation is not None:
             return
         assert self._source is not None
         specs, conjunct_groups = self._gather_prefetch_requests(tasks)
-        if not self._builder.fused:
-            self._prefetch_unfused(specs, conjunct_groups)
-            return
         if not specs and not conjunct_groups:
             return
         from repro.pipeline.builder import ScanPlan
@@ -723,37 +709,6 @@ class OptimizedRuleMiner:
             for conjunct, profile in results.presumptive_profiles(
                 request_id
             ).items():
-                self._profiles[(attribute, objective, conjunct)] = profile
-
-    def _prefetch_unfused(self, specs: dict, conjunct_groups: dict) -> None:
-        """The pre-fusion prefetch: one counting scan per request group."""
-        assert self._source is not None
-        if specs:
-            overrides = {
-                attribute: self._bucketings[attribute]
-                for attribute in specs
-                if attribute in self._bucketings
-            }
-            built = self._builder.build_many(
-                self._source, specs.values(), bucketings=overrides
-            )
-            for attribute, counts in built.items():
-                self._bucketings.setdefault(attribute, counts.bucketing)
-                for objective in counts.conditional:
-                    self._profiles[(attribute, objective, None)] = counts.profile(objective)
-                for target in counts.sums:
-                    self._profiles[(attribute, ("avg", target), None)] = (
-                        counts.average_profile(target)
-                    )
-        for (attribute, objective), conjuncts in conjunct_groups.items():
-            built_profiles = self._builder.build_presumptive_profiles(
-                self._source,
-                attribute,
-                objective,
-                conjuncts,
-                bucketing=self.bucketing_for(attribute),
-            )
-            for conjunct, profile in built_profiles.items():
                 self._profiles[(attribute, objective, conjunct)] = profile
 
     def solve_many(

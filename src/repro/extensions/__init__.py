@@ -27,7 +27,6 @@ from repro.extensions.two_dimensional import (
     GridProfile,
     RectangleRule,
     mine_rectangle_rule,
-    optimized_rectangle,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "GridProfile",
     "RectangleRule",
     "mine_rectangle_rule",
-    "optimized_rectangle",
     "DecisionNode",
     "RangeSplit",
     "RangeSplitDecisionTree",

@@ -34,17 +34,10 @@ solvers' float-division exactness envelope (see ``repro.core.fastpath``) —
 both engines return bit-identical rectangles, which
 ``tests/extensions/test_two_dimensional.py`` asserts against a brute-force
 enumeration oracle.
-
-.. deprecated::
-    :func:`optimized_rectangle` is a thin shim over
-    :func:`mine_rectangle_rule` kept for the pre-pipeline call shape; new
-    code should call :func:`mine_rectangle_rule`, which also accepts
-    streaming sources and an ``engine`` parameter.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -66,7 +59,6 @@ __all__ = [
     "GridProfile",
     "RectangleRule",
     "mine_rectangle_rule",
-    "optimized_rectangle",
 ]
 
 _ENGINES = ("fast", "reference")
@@ -199,45 +191,6 @@ def mine_rectangle_rule(
             store=store,
         )
     return _best_rectangle(profile, kind, min_support, min_confidence, engine)
-
-
-def optimized_rectangle(
-    relation: Relation,
-    row_attribute: str,
-    column_attribute: str,
-    objective: Condition,
-    kind: RuleKind = RuleKind.OPTIMIZED_CONFIDENCE,
-    min_support: float = 0.05,
-    min_confidence: float = 0.5,
-    grid: tuple[int, int] = (30, 30),
-    bucketizer: Bucketizer | None = None,
-    rng: np.random.Generator | None = None,
-) -> RectangleRule | None:
-    """Pre-pipeline name of :func:`mine_rectangle_rule`.
-
-    .. deprecated::
-        Call :func:`mine_rectangle_rule` instead — same arguments, plus
-        streaming :class:`~repro.pipeline.DataSource` support and the
-        ``engine`` / ``executor`` parameters.
-    """
-    warnings.warn(
-        "optimized_rectangle is deprecated; use mine_rectangle_rule, which "
-        "also accepts streaming DataSources and an engine parameter",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return mine_rectangle_rule(
-        relation,
-        row_attribute,
-        column_attribute,
-        objective,
-        kind=kind,
-        min_support=min_support,
-        min_confidence=min_confidence,
-        grid=grid,
-        bucketizer=bucketizer,
-        rng=rng,
-    )
 
 
 # Upper bound on the number of elements of one stacked band-matrix block

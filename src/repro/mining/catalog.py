@@ -16,7 +16,7 @@ array-native fast path by default.
 
 The catalog accepts any :class:`~repro.pipeline.DataSource` in place of the
 relation: over a streaming source (e.g. a ``CSVSource``) the miner
-prefetches every profile in two scans of the data, so the complete §1.3
+prefetches every profile in one scan of the data, so the complete §1.3
 workload runs out-of-core without ever materializing the relation.
 """
 
@@ -150,7 +150,6 @@ def mine_rule_catalog(
     ),
     engine: str = "fast",
     executor: str = "serial",
-    fused: bool = True,
     store: "ProfileStore | None" = None,
     kernel_tier: str | None = None,
 ) -> RuleCatalog:
@@ -176,10 +175,6 @@ def mine_rule_catalog(
         Counting executor for streaming sources (``"serial"``,
         ``"streaming"``, or ``"multiprocessing"``); ignored for in-memory
         data.
-    fused:
-        Whether streaming profile construction runs through the fused
-        single-scan planner (default) or the pre-fusion per-request-group
-        scans (identical results; the benchmark baseline).
     kernel_tier:
         ``"auto"``/``"numpy"``/``"compiled"`` kernel tier for streaming
         counting (default: the ``REPRO_KERNEL_TIER`` environment variable,
@@ -200,7 +195,6 @@ def mine_rule_catalog(
         rng=rng,
         engine=engine,
         executor=executor,
-        fused=fused,
         store=store,
         kernel_tier=kernel_tier,
     )

@@ -10,10 +10,11 @@ sampling caches the counting payloads, and the fused chunk kernel counts
 every request at once — under a pluggable executor (``serial`` /
 ``streaming`` / ``multiprocessing``).  :class:`GridProfileBuilder` builds
 the 2-D cell grids (:class:`GridProfile`) of the §1.4 rectangle extension
-on the same plan engine.  Profiles and grids are bit-identical across all
-source types and executors — and between fused plans and per-request
-builds — so the miners, the §1.3 catalog, the extensions, and the
-experiments run unchanged over any of them.
+on the same plan engine.  Every out-of-core profile is counted by that
+one plan fold; profiles and grids are bit-identical across all source
+types and executors, and equal to the in-memory oracles, so the miners,
+the §1.3 catalog, the extensions, and the experiments run unchanged over
+any of them.
 """
 
 from repro.pipeline.builder import (

@@ -25,9 +25,8 @@ them from a single physical scan of any
 
 Per-request entry points (``build_profile``, ``build_profiles``,
 ``build_average_profile``, ``build_presumptive_profiles``,
-``build_counts``, ``build_many``) compile to one-request plans; pass
-``fused=False`` to run the pre-fusion one-counting-scan-per-call path
-instead (the reference baseline for parity tests and benchmarks).
+``build_counts``, ``build_many``) compile to one-request plans, so every
+counting pass in the library runs through the same plan fold.
 
 *Where* the kernel runs is an executor strategy:
 
@@ -44,10 +43,11 @@ instead (the reference baseline for parity tests and benchmarks).
 
 Counts are integers and partials always merge in chunk order, so all three
 executors — and all source types over the same tuples — produce **bit
-identical** :class:`~repro.core.BucketProfile`\\ s, and fused plans match
-the per-request builds bit for bit; the parity suites in
-``tests/pipeline/test_builder.py`` and ``tests/pipeline/test_plan.py``
-assert exact equality across the full source × executor matrix.
+identical** :class:`~repro.core.BucketProfile`\\ s, equal bit for bit to
+the in-memory oracles (:meth:`BucketProfile.from_relation` and friends);
+the parity suites in ``tests/pipeline/test_builder.py`` and
+``tests/pipeline/test_plan.py`` assert exact equality across the full
+source × executor matrix.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from repro.bucketing.counting import (
     PlanChunkCounts,
     ValueSegment,
     count_plan_chunk,
-    count_value_chunk,
 )
 from repro.bucketing.equidepth_sample import DEFAULT_SAMPLE_FACTOR
 from repro.bucketing.equidepth_sort import equidepth_cuts_from_sorted
@@ -204,39 +203,6 @@ class AttributeCounts:
             highs=self.highs[keep],
             total=float(self.total),
         )
-
-
-def _count_chunk_payload(
-    payload: list[tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]],
-) -> list[ChunkCounts]:
-    """Count one chunk's payload for every attribute (module-level: picklable).
-
-    ``payload`` holds, per requested attribute, the chunk's value array, the
-    bucketing cuts, the stacked objective masks (or ``None``) and the stacked
-    target weights (or ``None``) — plain numpy only, so a process-pool worker
-    needs nothing but this module.
-    """
-    return [
-        count_value_chunk(values, cuts, masks=masks, weights=weights)
-        for values, cuts, masks, weights in payload
-    ]
-
-
-def _count_presumptive_payload(
-    payload: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> ChunkCounts:
-    """Count one chunk of a §4.3 presumptive batch (module-level: picklable).
-
-    ``payload`` is ``(values, cuts, masks, bound_masks)`` where ``masks``
-    interleaves each conjunct's population mask with its objective
-    intersection and ``bound_masks`` holds the population masks whose
-    restricted data bounds the profiles report.  The unrestricted bounds are
-    never read by the presumptive profiles, so their sort is skipped.
-    """
-    values, cuts, masks, bound_masks = payload
-    return count_value_chunk(
-        values, cuts, masks=masks, with_bounds=False, bound_masks=bound_masks
-    )
 
 
 @dataclass(frozen=True)
@@ -672,12 +638,6 @@ class ProfileBuilder:
     max_workers:
         Worker processes for the multiprocessing executor (default: one per
         CPU, capped at 8).
-    fused:
-        ``True`` (default) routes every counting pass through the fused
-        :class:`ScanPlan` engine (one physical scan per plan).  ``False``
-        keeps the pre-fusion behavior — one counting scan per ``build_*``
-        call — and exists as the reference/baseline path for parity tests
-        and benchmarks.
     cache_budget_mb:
         Budget (MiB) for caching counting payloads during the sampling scan
         so a plan needs only one physical source scan; past the budget the
@@ -701,7 +661,6 @@ class ProfileBuilder:
         sample_factor: int = DEFAULT_SAMPLE_FACTOR,
         seed: int = 0,
         max_workers: int | None = None,
-        fused: bool = True,
         cache_budget_mb: int | None = None,
         kernel_tier: str | None = None,
     ) -> None:
@@ -717,7 +676,12 @@ class ProfileBuilder:
             raise PipelineError("max_workers must be positive")
         if cache_budget_mb is None:
             raw = os.environ.get("REPRO_PLAN_CACHE_MB", "")
-            cache_budget_mb = int(raw) if raw else _DEFAULT_PLAN_CACHE_MB
+            try:
+                cache_budget_mb = int(raw) if raw else _DEFAULT_PLAN_CACHE_MB
+            except ValueError:
+                raise PipelineError(
+                    f"REPRO_PLAN_CACHE_MB must be an integer, got {raw!r}"
+                ) from None
         if cache_budget_mb < 0:
             raise PipelineError("cache_budget_mb must be non-negative")
         self._num_buckets = int(num_buckets)
@@ -725,7 +689,6 @@ class ProfileBuilder:
         self._sample_factor = int(sample_factor)
         self._seed = int(seed)
         self._max_workers = max_workers
-        self._fused = bool(fused)
         self._cache_budget_bytes = int(cache_budget_mb) * 1024 * 1024
         self._kernel_tier = resolve_kernel_tier(kernel_tier)
 
@@ -750,11 +713,6 @@ class ProfileBuilder:
     def seed(self) -> int:
         """Base seed of the boundary-sampling RNG."""
         return self._seed
-
-    @property
-    def fused(self) -> bool:
-        """Whether counting passes run through the fused scan planner."""
-        return self._fused
 
     @property
     def kernel_tier(self) -> str:
@@ -1307,7 +1265,7 @@ class ProfileBuilder:
                 ) from exc
         return totals
 
-    # -- pass 2: counting ------------------------------------------------------
+    # -- per-request entry points (one-request plans) --------------------------
 
     def build_many(
         self,
@@ -1334,9 +1292,6 @@ class ProfileBuilder:
                 merged[spec.attribute] = spec
         if not merged:
             return {}
-        if not self._fused:
-            return self._build_many_unfused(source, merged, bucketings)
-
         plan = ScanPlan()
         ids = {
             spec.attribute: plan.add_bucket(
@@ -1349,43 +1304,6 @@ class ProfileBuilder:
             attribute: results.counts(request_id)
             for attribute, request_id in ids.items()
         }
-
-    def _build_many_unfused(
-        self,
-        source: DataSource,
-        merged: Mapping[str, AttributeSpec],
-        bucketings: Mapping[str, Bucketing] | None,
-    ) -> dict[str, AttributeCounts]:
-        """The pre-fusion counting pass (reference path for parity/benchmarks)."""
-        resolved = dict(bucketings or {})
-        missing = [attribute for attribute in merged if attribute not in resolved]
-        if missing:
-            resolved.update(self.sample_bucketings(source, missing))
-
-        spec_list = list(merged.values())
-        totals = self._run_counting_pass(
-            self._payloads(source, spec_list, resolved), spec_list, resolved
-        )
-
-        results: dict[str, AttributeCounts] = {}
-        for spec, counts in zip(spec_list, totals):
-            results[spec.attribute] = AttributeCounts(
-                attribute=spec.attribute,
-                bucketing=resolved[spec.attribute],
-                sizes=counts.sizes,
-                conditional={
-                    objective: counts.conditional[row]
-                    for row, objective in enumerate(spec.objectives)
-                },
-                sums={
-                    target: counts.sums[row]
-                    for row, target in enumerate(spec.targets)
-                },
-                lows=counts.lows,
-                highs=counts.highs,
-                total=counts.num_tuples,
-            )
-        return results
 
     def build_counts(
         self,
@@ -1457,137 +1375,6 @@ class ProfileBuilder:
         )
         return counts.average_profile(target)
 
-    # -- internals -------------------------------------------------------------
-
-    def _payloads(
-        self,
-        source: DataSource,
-        specs: Sequence[AttributeSpec],
-        bucketings: Mapping[str, Bucketing],
-    ) -> Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]]]:
-        """Per-chunk kernel payloads: columns extracted, conditions evaluated.
-
-        Condition masks are evaluated chunk-side here in the parent (they
-        need the relation chunk); workers only ever see plain arrays.
-        Columns, masks, and stacked matrices are cached per chunk, so a
-        catalog where every attribute spec carries the same objectives
-        evaluates each condition once per chunk (not once per attribute) and
-        shares one mask matrix across the payload — pickle deduplicates the
-        shared array when it ships to worker processes.
-        """
-        for chunk in source.chunks():
-            columns: dict[str, np.ndarray] = {}
-            mask_rows: dict[Condition, np.ndarray] = {}
-            mask_stacks: dict[tuple[Condition, ...], np.ndarray | None] = {}
-            weight_stacks: dict[tuple[str, ...], np.ndarray | None] = {}
-
-            def column(name: str) -> np.ndarray:
-                if name not in columns:
-                    columns[name] = np.asarray(
-                        chunk.numeric_column(name), dtype=np.float64
-                    )
-                return columns[name]
-
-            def masks_for(objectives: tuple[Condition, ...]) -> np.ndarray | None:
-                if objectives not in mask_stacks:
-                    if not objectives:
-                        mask_stacks[objectives] = None
-                    else:
-                        for objective in objectives:
-                            if objective not in mask_rows:
-                                mask_rows[objective] = np.asarray(
-                                    objective.mask(chunk), dtype=bool
-                                )
-                        mask_stacks[objectives] = np.vstack(
-                            [mask_rows[objective] for objective in objectives]
-                        )
-                return mask_stacks[objectives]
-
-            def weights_for(targets: tuple[str, ...]) -> np.ndarray | None:
-                if targets not in weight_stacks:
-                    weight_stacks[targets] = (
-                        np.vstack([column(target) for target in targets])
-                        if targets
-                        else None
-                    )
-                return weight_stacks[targets]
-
-            yield [
-                (
-                    column(spec.attribute),
-                    bucketings[spec.attribute].cuts,
-                    masks_for(spec.objectives),
-                    weights_for(spec.targets),
-                )
-                for spec in specs
-            ]
-
-    def _run_counting_pass(
-        self,
-        payloads: Iterator[list],
-        specs: Sequence[AttributeSpec],
-        bucketings: Mapping[str, Bucketing],
-    ) -> list[ChunkCounts]:
-        """Run the executor strategy and merge partials in chunk order."""
-        totals = [
-            ChunkCounts.zeros(
-                bucketings[spec.attribute].num_buckets,
-                num_masks=len(spec.objectives),
-                num_weights=len(spec.targets),
-            )
-            for spec in specs
-        ]
-
-        def merge(parts: list[ChunkCounts]) -> None:
-            for total, part in zip(totals, parts):
-                total.merge(part)
-
-        self.fold_payloads(payloads, _count_chunk_payload, merge)
-        return totals
-
-    def fold_payloads(self, payloads: Iterator, worker, merge) -> None:
-        """Run ``worker`` over every payload under the executor strategy.
-
-        This is the single executor implementation every pipeline counting
-        pass — 1-D profiles, §4.3 presumptive profiles, and the 2-D grids of
-        :class:`~repro.pipeline.grid.GridProfileBuilder` — runs on.
-        ``worker`` must be a picklable module-level function taking one
-        payload; ``merge`` folds each result in **chunk order**, whatever the
-        executor, which is what keeps all executors bit-identical.
-
-        * ``serial`` / ``streaming`` — count and fold one chunk at a time:
-          only one chunk's data and partials are ever resident, so
-          out-of-core scans stay bounded.
-        * ``multiprocessing`` — fan chunks out to a ``ProcessPoolExecutor``
-          with a bounded submission window (two payloads in flight per
-          worker), consuming results oldest-first so the merge order equals
-          the chunk order — which keeps even float accumulations (§5 bucket
-          sums) identical to the serial executor.
-        """
-        if self._executor in ("serial", "streaming"):
-            for payload in payloads:
-                merge(worker(payload))
-            return
-        workers = self._max_workers or min(8, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            window: deque = deque()
-            merged = 0
-            try:
-                for payload in payloads:
-                    window.append(pool.submit(worker, payload))
-                    if len(window) >= 2 * workers:
-                        merge(window.popleft().result())
-                        merged += 1
-                while window:
-                    merge(window.popleft().result())
-                    merged += 1
-            except BrokenExecutor as exc:
-                raise ExecutorError(
-                    "a multiprocessing counting worker died while processing "
-                    f"chunk {merged} of the fold (out-of-memory kill or "
-                    "crash); its partial counts are unrecoverable"
-                ) from exc
-
     def build_presumptive_profiles(
         self,
         source: DataSource,
@@ -1613,64 +1400,10 @@ class ProfileBuilder:
         presumptives = list(presumptives)
         if not presumptives:
             return {}
-        if self._fused:
-            plan = ScanPlan()
-            request_id = plan.add_presumptive(attribute, objective, presumptives)
-            overrides = {attribute: bucketing} if bucketing is not None else None
-            results = self.execute_plan(source, plan, bucketings=overrides)
-            return results.presumptive_profiles(request_id, label=label)
-        if bucketing is None:
-            bucketing = self.sample_bucketings(source, [attribute])[attribute]
-        cuts = bucketing.cuts
-
-        def payloads() -> Iterator[tuple]:
-            for chunk in source.chunks():
-                values = np.asarray(
-                    chunk.numeric_column(attribute), dtype=np.float64
-                )
-                objective_mask = np.asarray(objective.mask(chunk), dtype=bool)
-                bound_masks = np.empty(
-                    (len(presumptives), values.shape[0]), dtype=bool
-                )
-                masks = np.empty(
-                    (2 * len(presumptives), values.shape[0]), dtype=bool
-                )
-                for row, presumptive in enumerate(presumptives):
-                    base = np.asarray(presumptive.mask(chunk), dtype=bool)
-                    bound_masks[row] = base
-                    masks[2 * row] = base
-                    masks[2 * row + 1] = base & objective_mask
-                yield values, cuts, masks, bound_masks
-
-        totals = ChunkCounts.zeros(
-            bucketing.num_buckets,
-            num_masks=2 * len(presumptives),
-            num_bound_masks=len(presumptives),
-        )
-        self.fold_payloads(
-            payloads(), _count_presumptive_payload, totals.merge
-        )
-        if totals.num_tuples == 0:
-            raise PipelineError("the source contained no tuples")
-
-        profiles: dict[Condition, BucketProfile] = {}
-        for row, presumptive in enumerate(presumptives):
-            sizes = totals.conditional[2 * row]
-            keep = sizes > 0
-            if not np.any(keep):
-                raise PipelineError(
-                    "no tuple satisfies the presumptive conjunct; "
-                    "cannot build a profile"
-                )
-            profiles[presumptive] = BucketProfile(
-                attribute=attribute,
-                objective_label=label if label is not None else str(objective),
-                sizes=sizes[keep].astype(np.float64),
-                values=totals.conditional[2 * row + 1][keep].astype(np.float64),
-                lows=totals.mask_lows[row][keep],
-                highs=totals.mask_highs[row][keep],
-                total=float(totals.num_tuples),
-            )
-        return profiles
+        plan = ScanPlan()
+        request_id = plan.add_presumptive(attribute, objective, presumptives)
+        overrides = {attribute: bucketing} if bucketing is not None else None
+        results = self.execute_plan(source, plan, bucketings=overrides)
+        return results.presumptive_profiles(request_id, label=label)
 
 

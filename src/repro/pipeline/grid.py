@@ -12,8 +12,8 @@ the per-axis observed data bounds that instantiate the winning rectangle.
 
 1. the builder's per-attribute reservoir boundary pass (chunk-invariant,
    seeded per attribute) fixes both axes' bucket boundaries in one scan;
-2. a counting scan runs the shared 2-D kernel
-   :func:`~repro.bucketing.counting.count_grid_chunk` — one ``searchsorted``
+2. the grid compiles into a one-request :class:`~repro.pipeline.ScanPlan`
+   whose grid segment the fused chunk kernel counts — one ``searchsorted``
    assignment per axis, one flattened ``bincount`` for the cells — under the
    same serial / streaming / multiprocessing executors.
 
@@ -25,12 +25,12 @@ grids; ``tests/pipeline/test_grid.py`` asserts the full matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.bucketing.base import Bucketing
-from repro.bucketing.counting import GridChunkCounts, count_grid_chunk
+from repro.bucketing.counting import count_grid_chunk
 from repro.exceptions import PipelineError
 from repro.pipeline.builder import ProfileBuilder, ScanPlan
 from repro.pipeline.sources import DataSource
@@ -146,16 +146,6 @@ class GridCounts:
         )
 
 
-def _count_grid_payload(
-    payload: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None],
-) -> GridChunkCounts:
-    """Count one chunk into the grid (module-level: picklable for workers)."""
-    row_values, column_values, row_cuts, column_cuts, masks = payload
-    return count_grid_chunk(
-        row_values, column_values, row_cuts, column_cuts, masks=masks
-    )
-
-
 class GridProfileBuilder(ProfileBuilder):
     """Build 2-D grid profiles from any data source with a pluggable executor.
 
@@ -166,10 +156,8 @@ class GridProfileBuilder(ProfileBuilder):
     so a grid's bucket boundaries are independent of chunking, executor, and
     worker-pool size; the counting partials merge in chunk order, making the
     whole grid bit-identical across the source × executor × pool-size
-    matrix.  This is the same determinism contract the fixed partition seed
-    gives :class:`~repro.bucketing.parallel.ParallelBucketCounter` — here the
-    tuple → worker partition is the (deterministic) chunk order itself, so
-    growing the pool can never change a result
+    matrix.  The tuple → worker partition is the (deterministic) chunk order
+    itself, so growing the pool can never change a result
     (``tests/pipeline/test_grid.py`` regresses pool sizes 1/2/4).
     """
 
@@ -191,90 +179,22 @@ class GridProfileBuilder(ProfileBuilder):
         bucket count per axis (``(rows, columns)``), so non-square grids need
         no second builder.  ``store`` serves the grid from a persistent
         :class:`~repro.store.ProfileStore` snapshot when one matches — zero
-        physical scans, tail-only counting on append-only growth (requires
-        the fused path and no ``bucketings`` overrides).
+        physical scans, tail-only counting on append-only growth (ignored
+        when ``bucketings`` overrides are given).
         """
         if row_attribute == column_attribute:
             raise PipelineError(
                 "the grid's row and column attributes must differ"
             )
-        objectives = list(dict.fromkeys(objectives))
-        if self.fused:
-            plan = ScanPlan()
-            request_id = plan.add_grid(
-                row_attribute, column_attribute, objectives, grid=grid
-            )
-            results = self.execute_plan(
-                source, plan, bucketings=bucketings,
-                store=store if not bucketings else None,
-            )
-            return results.grid_counts(request_id)
-        if store is not None:
-            raise PipelineError(
-                "a profile store requires the fused scan planner (fused=True)"
-            )
-        resolved = dict(bucketings or {})
-        missing = [
-            attribute
-            for attribute in (row_attribute, column_attribute)
-            if attribute not in resolved
-        ]
-        if missing:
-            overrides = (
-                {row_attribute: grid[0], column_attribute: grid[1]}
-                if grid is not None
-                else None
-            )
-            resolved.update(
-                self.sample_bucketings(source, missing, num_buckets=overrides)
-            )
-        row_bucketing = resolved[row_attribute]
-        column_bucketing = resolved[column_attribute]
-
-        def payloads() -> Iterator[tuple]:
-            for chunk in source.chunks():
-                if objectives:
-                    masks = np.empty(
-                        (len(objectives), chunk.num_tuples), dtype=bool
-                    )
-                    for row, objective in enumerate(objectives):
-                        masks[row] = np.asarray(objective.mask(chunk), dtype=bool)
-                else:
-                    masks = None
-                yield (
-                    np.asarray(
-                        chunk.numeric_column(row_attribute), dtype=np.float64
-                    ),
-                    np.asarray(
-                        chunk.numeric_column(column_attribute), dtype=np.float64
-                    ),
-                    row_bucketing.cuts,
-                    column_bucketing.cuts,
-                    masks,
-                )
-
-        totals = GridChunkCounts.zeros(
-            row_bucketing.num_buckets,
-            column_bucketing.num_buckets,
-            num_masks=len(objectives),
+        plan = ScanPlan()
+        request_id = plan.add_grid(
+            row_attribute, column_attribute, objectives, grid=grid
         )
-        self.fold_payloads(payloads(), _count_grid_payload, totals.merge)
-        return GridCounts(
-            row_attribute=row_attribute,
-            column_attribute=column_attribute,
-            row_bucketing=row_bucketing,
-            column_bucketing=column_bucketing,
-            sizes=totals.sizes,
-            conditional={
-                objective: totals.conditional[row]
-                for row, objective in enumerate(objectives)
-            },
-            row_lows=totals.row_lows,
-            row_highs=totals.row_highs,
-            column_lows=totals.column_lows,
-            column_highs=totals.column_highs,
-            total=totals.num_tuples,
+        results = self.execute_plan(
+            source, plan, bucketings=bucketings,
+            store=store if not bucketings else None,
         )
+        return results.grid_counts(request_id)
 
     def build_grid_profile(
         self,

@@ -5,73 +5,18 @@ millisecond of actual lookups — this package puts that behind a network
 API.  :class:`RuleService` is the transport-independent core (auth, typed
 error bodies, a fingerprint-keyed response LRU, and single-flight request
 coalescing); :mod:`repro.service.http` serves it over a dependency-free
-stdlib asyncio HTTP/1.1 server (the primary, always-available tier), and
-:mod:`repro.service.fastapi_app` adapts the same core to FastAPI for ASGI
-deployments.
-
-Tier selection mirrors the counting-kernel registry: ``auto`` (the
-default, also via ``REPRO_SERVICE_TIER``) picks FastAPI when the optional
-dependency stack is importable and the stdlib tier otherwise; both tiers
-route every request through the same handler, so they are
-behavior-identical by construction.
+stdlib asyncio HTTP/1.1 server.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.exceptions import ServiceError
 from repro.service.app import RuleService, ServiceConfig, map_error_status
 from repro.service.http import BackgroundServer, serve_forever
-
-SERVICE_TIER_ENV = "REPRO_SERVICE_TIER"
-SERVICE_TIERS = ("auto", "stdlib", "fastapi")
 
 __all__ = [
     "BackgroundServer",
     "RuleService",
-    "SERVICE_TIERS",
-    "SERVICE_TIER_ENV",
     "ServiceConfig",
     "map_error_status",
-    "resolve_service_tier",
     "serve_forever",
 ]
-
-
-def _have_asgi_stack() -> bool:
-    from repro.service.fastapi_app import HAVE_FASTAPI
-
-    if not HAVE_FASTAPI:
-        return False
-    try:  # pragma: no cover - absent in the reference environment
-        import uvicorn  # noqa: F401
-    except ModuleNotFoundError:
-        return False
-    return True  # pragma: no cover - needs fastapi + uvicorn
-
-
-def resolve_service_tier(name: str | None = None) -> str:
-    """Resolve a tier request to ``"stdlib"`` or ``"fastapi"``.
-
-    ``None`` defers to the ``REPRO_SERVICE_TIER`` environment variable,
-    then ``"auto"``.  ``auto`` never raises — it serves with whatever is
-    available; an *explicit* ``fastapi`` without the dependency stack is a
-    typed configuration error instead of a silent downgrade.
-    """
-    requested = name or os.environ.get(SERVICE_TIER_ENV) or "auto"
-    if requested not in SERVICE_TIERS:
-        raise ServiceError(
-            f"unknown service tier {requested!r}; use one of "
-            f"{', '.join(SERVICE_TIERS)}",
-            status=500,
-        )
-    if requested == "auto":
-        return "fastapi" if _have_asgi_stack() else "stdlib"
-    if requested == "fastapi" and not _have_asgi_stack():
-        raise ServiceError(
-            "service tier 'fastapi' requires the optional fastapi + uvicorn "
-            "dependencies; install them or use --tier stdlib",
-            status=500,
-        )
-    return requested

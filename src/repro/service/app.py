@@ -1,11 +1,10 @@
 """The rule-mining service core: one synchronous request handler.
 
 :class:`RuleService` is the whole service expressed as a plain function of
-``(method, path, query, headers, body) -> (status, JSON body)``.  Both HTTP
-front-ends — the stdlib asyncio server in :mod:`repro.service.http` and the
-optional FastAPI adapter in :mod:`repro.service.fastapi_app` — are thin
-transports around this one handler, so every behavior (auth, error mapping,
-caching, coalescing) is tested once, transport-independently.
+``(method, path, query, headers, body) -> (status, JSON body)``.  The HTTP
+front-end — the stdlib asyncio server in :mod:`repro.service.http` — is a
+thin transport around this one handler, so every behavior (auth, error
+mapping, caching, coalescing) is tested once, transport-independently.
 
 The hot path is built for a warm :class:`~repro.store.ProfileStore`:
 

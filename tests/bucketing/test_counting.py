@@ -276,6 +276,15 @@ class TestMaskMatrixTunables:
                 np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=bool), 1
             )
 
+    def test_malformed_budget_env_is_typed(self, monkeypatch) -> None:
+        monkeypatch.setenv("REPRO_MASK_MATRIX_CHUNK_ELEMENTS", "big")
+        with pytest.raises(
+            BucketingError, match="REPRO_MASK_MATRIX_CHUNK_ELEMENTS.*'big'"
+        ):
+            counting_module.masked_bucket_counts(
+                np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=bool), 1
+            )
+
     def test_offset_dtype_narrows_when_windows_fit(self) -> None:
         assert counting_module._offset_dtype(1_000) is np.int32
         assert counting_module._offset_dtype(np.iinfo(np.int32).max + 1) is np.int64

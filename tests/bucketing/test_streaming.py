@@ -1,19 +1,11 @@
-"""Tests for the streaming (out-of-core flavoured) bucketing substrate."""
+"""Tests for the reservoir sampler behind out-of-core boundary sampling."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.bucketing import (
-    Bucketing,
-    ReservoirSampler,
-    SortingEquiDepthBucketizer,
-    StreamingBucketCounter,
-    build_streaming_profile,
-    streaming_equidepth_bucketing,
-)
-from repro.core import BucketProfile, maximize_ratio, solve_optimized_confidence
+from repro.bucketing import ReservoirSampler
 from repro.exceptions import BucketingError
 
 
@@ -62,110 +54,3 @@ class TestReservoirSampler:
         sampler = ReservoirSampler(10, rng=rng)
         sampler.extend(np.array([]))
         assert sampler.seen == 0
-
-
-class TestStreamingEquidepthBucketing:
-    def test_matches_in_memory_quality(self, rng: np.random.Generator) -> None:
-        values = rng.lognormal(5.0, 1.0, size=60_000)
-        bucketing = streaming_equidepth_bucketing(_chunks(values, 4096), 100, rng=rng)
-        counts = bucketing.counts(values)
-        ideal = values.size / 100
-        assert counts.sum() == values.size
-        assert counts.max() < 2.0 * ideal
-
-    def test_single_bucket(self, rng: np.random.Generator) -> None:
-        bucketing = streaming_equidepth_bucketing(iter([np.array([1.0, 2.0])]), 1, rng=rng)
-        assert bucketing.num_buckets == 1
-
-    def test_empty_stream_rejected(self, rng: np.random.Generator) -> None:
-        with pytest.raises(BucketingError):
-            streaming_equidepth_bucketing(iter([]), 10, rng=rng)
-        with pytest.raises(BucketingError):
-            streaming_equidepth_bucketing(iter([]), 0, rng=rng)
-
-
-class TestStreamingBucketCounter:
-    def test_counts_match_batch_counts(self, rng: np.random.Generator) -> None:
-        values = rng.normal(size=20_000)
-        flags = rng.random(20_000) < 0.3
-        bucketing = SortingEquiDepthBucketizer().build(values, 50)
-        counter = StreamingBucketCounter(bucketing, objective_labels=["target"])
-        for start in range(0, values.shape[0], 1000):
-            counter.update(
-                values[start : start + 1000], {"target": flags[start : start + 1000]}
-            )
-        assert counter.total == values.shape[0]
-        assert np.array_equal(counter.sizes(), bucketing.counts(values))
-        assert np.array_equal(
-            counter.conditional("target"), bucketing.conditional_counts(values, flags)
-        )
-
-    def test_missing_mask_rejected(self) -> None:
-        counter = StreamingBucketCounter(Bucketing([0.0]), objective_labels=["target"])
-        with pytest.raises(BucketingError):
-            counter.update(np.array([1.0]), {})
-
-    def test_mask_shape_validated(self) -> None:
-        counter = StreamingBucketCounter(Bucketing([0.0]), objective_labels=["target"])
-        with pytest.raises(BucketingError):
-            counter.update(np.array([1.0, 2.0]), {"target": np.array([True])})
-
-    def test_unknown_label_rejected(self) -> None:
-        counter = StreamingBucketCounter(Bucketing([0.0]))
-        counter.update(np.array([1.0]))
-        with pytest.raises(BucketingError):
-            counter.conditional("missing")
-
-    def test_profile_requires_counts(self) -> None:
-        counter = StreamingBucketCounter(Bucketing([0.0]), objective_labels=["target"])
-        with pytest.raises(BucketingError):
-            counter.to_profile("target")
-
-    def test_profile_bounds_track_observed_extremes(self, rng: np.random.Generator) -> None:
-        values = rng.uniform(0.0, 100.0, size=5_000)
-        flags = values > 50.0
-        bucketing = SortingEquiDepthBucketizer().build(values, 10)
-        counter = StreamingBucketCounter(bucketing, objective_labels=["target"])
-        for start in range(0, values.shape[0], 500):
-            counter.update(values[start : start + 500], {"target": flags[start : start + 500]})
-        profile = counter.to_profile("target", attribute="value")
-        assert profile.lows[0] == pytest.approx(values.min())
-        assert profile.highs[-1] == pytest.approx(values.max())
-
-
-class TestBuildStreamingProfile:
-    def test_two_pass_profile_matches_in_memory_mining(self, rng: np.random.Generator) -> None:
-        size = 50_000
-        values = rng.uniform(0.0, 100.0, size)
-        inside = (values >= 40.0) & (values <= 60.0)
-        flags = rng.random(size) < np.where(inside, 0.8, 0.1)
-
-        def chunk_factory():
-            for start in range(0, size, 5_000):
-                yield values[start : start + 5_000], flags[start : start + 5_000]
-
-        streaming_profile = build_streaming_profile(
-            chunk_factory, num_buckets=200, attribute="value", objective_label="target",
-            rng=np.random.default_rng(0),
-        )
-        streamed = solve_optimized_confidence(streaming_profile, min_support=0.15)
-
-        exact_bucketing = SortingEquiDepthBucketizer().build(values, 200)
-        exact_profile = BucketProfile(
-            attribute="value",
-            objective_label="target",
-            sizes=exact_bucketing.counts(values).astype(float),
-            values=exact_bucketing.conditional_counts(values, flags).astype(float),
-            lows=exact_bucketing.data_bounds(values)[0],
-            highs=exact_bucketing.data_bounds(values)[1],
-            total=float(size),
-        )
-        exact = maximize_ratio(
-            exact_profile.sizes, exact_profile.values, 0.15 * size, total=float(size)
-        )
-        # The streamed (sampled-boundary) optimum is within the §3.4 error
-        # envelope of the exactly-bucketed optimum.
-        assert streamed.ratio == pytest.approx(exact.ratio, rel=0.05)
-        low, high = streaming_profile.range_bounds(streamed.start, streamed.end)
-        assert 30.0 < low < 50.0
-        assert 50.0 < high < 70.0

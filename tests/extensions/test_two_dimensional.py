@@ -8,7 +8,7 @@ import pytest
 from repro.bucketing import SortingEquiDepthBucketizer
 from repro.core import RuleKind
 from repro.exceptions import OptimizationError
-from repro.extensions import GridProfile, mine_rectangle_rule, optimized_rectangle
+from repro.extensions import GridProfile, mine_rectangle_rule
 from repro.extensions.two_dimensional import _best_rectangle
 from repro.pipeline import CSVSource, GridProfileBuilder, RelationSource
 from repro.relation import Attribute, BooleanIs, Relation, Schema
@@ -371,27 +371,3 @@ class TestStreamingRectangles:
         )
         assert via_builder is not None
         assert via_builder.support >= 0.05
-
-
-class TestDeprecatedShim:
-    def test_optimized_rectangle_warns_and_delegates(
-        self, planted_2d_relation: Relation
-    ) -> None:
-        with pytest.warns(DeprecationWarning, match="mine_rectangle_rule"):
-            old = optimized_rectangle(
-                planted_2d_relation,
-                "age",
-                "balance",
-                BooleanIs("card_loan"),
-                min_support=0.05,
-                grid=(10, 10),
-            )
-        new = mine_rectangle_rule(
-            planted_2d_relation,
-            "age",
-            "balance",
-            BooleanIs("card_loan"),
-            min_support=0.05,
-            grid=(10, 10),
-        )
-        assert old == new

@@ -272,6 +272,47 @@ class TestReservoirChunkInvariance:
             assert np.array_equal(sample, samples[0])
 
 
+def _array_source(values: np.ndarray, chunk_size: int) -> ChunkedSource:
+    def chunks():
+        for start in range(0, values.size, chunk_size):
+            part = values[start : start + chunk_size]
+            yield part, np.zeros(part.size, dtype=bool)
+
+    return ChunkedSource.from_arrays(chunks, attribute="value")
+
+
+class TestSampleBucketings:
+    """Algorithm 3.1 steps 1–3 over a stream, the builder's sampling pass."""
+
+    def test_matches_in_memory_quality(self) -> None:
+        values = np.random.default_rng(8).lognormal(5.0, 1.0, size=60_000)
+        builder = ProfileBuilder(num_buckets=100, seed=3)
+        streamed = builder.sample_bucketings(
+            _array_source(values, 4096), ["value"]
+        )["value"]
+        exact = SortingEquiDepthBucketizer().build(values, 100)
+        counts = streamed.counts(values)
+        ideal = values.size / 100
+        assert counts.sum() == values.size
+        assert counts.max() < 2.0 * ideal
+        assert counts.max() < 2.0 * exact.counts(values).max()
+
+    def test_single_bucket(self) -> None:
+        builder = ProfileBuilder(num_buckets=1)
+        bucketing = builder.sample_bucketings(
+            _array_source(np.array([1.0, 2.0]), 2), ["value"]
+        )["value"]
+        assert bucketing.num_buckets == 1
+
+    def test_empty_source_is_typed(self) -> None:
+        builder = ProfileBuilder(num_buckets=10)
+        empty = _array_source(np.array([]), 4)
+        with pytest.raises(PipelineError, match="no values"):
+            builder.sample_bucketings(empty, ["value"])
+        with pytest.raises(PipelineError):
+            builder.sample_bucketings(empty, ["value"], num_buckets={"value": 0})
+
+
 class TestValidation:
     def test_unknown_executor_rejected(self) -> None:
         with pytest.raises(PipelineError):

@@ -30,13 +30,6 @@ CHUNK = 200
 ROWS = 1_000
 
 
-def _die_on_marker(payload):
-    """Module-level worker (picklable) that kills its host on the marker."""
-    if payload == "die":
-        os._exit(1)
-    return payload
-
-
 class _KillerPayload:
     """Unpickling this in a pool worker terminates the worker process."""
 
@@ -51,15 +44,6 @@ def relation():
 
 
 class TestExecutorDeath:
-    def test_dead_worker_in_fold_payloads_is_a_typed_error(self):
-        builder = ProfileBuilder(executor="multiprocessing", max_workers=2)
-        merged = []
-        with pytest.raises(ExecutorError, match="worker died") as excinfo:
-            builder.fold_payloads(
-                iter(["a", "b", "die", "c"]), _die_on_marker, merged.append
-            )
-        assert "chunk" in str(excinfo.value)  # the batch is named
-
     def test_dead_worker_in_plan_fold_names_the_chunk_batch(self, relation):
         builder = ProfileBuilder(
             num_buckets=10, executor="multiprocessing", max_workers=2

@@ -3,9 +3,11 @@
 The headline guarantees:
 
 * a plan mixing bucket + presumptive + average + grid requests produces
-  profiles **bit-identical** to running each request through today's
-  per-request builders (the ``fused=False`` reference path), across the full
-  3 sources × 3 executors matrix;
+  profiles **bit-identical** to the in-memory oracles
+  (``BucketProfile.from_relation`` with and without ``presumptive=``,
+  ``BucketProfile.from_relation_average``, ``GridProfile.from_relation``)
+  built on the plan's own bucketings, across the full 3 sources × 3
+  executors matrix — the oracles share no counting code with the plan fold;
 * a mixed plan touches the source exactly **once** — boundary sampling,
   §4.3 conjunct counting, and 2-D grid counting all ride the same physical
   scan.
@@ -19,6 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 import pytest
 
+from repro.bucketing import Bucketing
 from repro.core import BucketProfile, MiningTask, OptimizedRuleMiner, RuleKind
 from repro.datasets import bank_customers
 from repro.exceptions import PipelineError
@@ -27,6 +30,7 @@ from repro.pipeline import (
     ChunkedSource,
     CSVSource,
     DataSource,
+    GridProfile,
     GridProfileBuilder,
     ProfileBuilder,
     RelationSource,
@@ -109,109 +113,135 @@ def build_mixed_plan() -> tuple[ScanPlan, dict[str, int]]:
     return plan, ids
 
 
+def chunk_ordered_average(
+    source: DataSource, attribute: str, target: str, bucketing: Bucketing
+) -> BucketProfile:
+    """The §5 oracle with its sums folded in the source's chunk order.
+
+    A §5 sum is a float sum whose last bits depend on summation order, and
+    the plan fold adds one partial per chunk.  The oracle therefore takes
+    ``from_relation_average`` and replaces its whole-array sums with the
+    in-memory weighted bincounts of each chunk, added in chunk order.
+    """
+    reference = BucketProfile.from_relation_average(
+        source.materialize(), attribute, target, bucketing
+    )
+    sums = np.zeros(bucketing.num_buckets)
+    sizes = np.zeros(bucketing.num_buckets, dtype=np.int64)
+    for chunk in source.chunks():
+        values = chunk.numeric_column(attribute)
+        sums += bucketing.weighted_sums(values, chunk.numeric_column(target))
+        sizes += bucketing.counts(values)
+    return BucketProfile(
+        attribute=attribute,
+        objective_label=reference.objective_label,
+        sizes=reference.sizes,
+        values=sums[sizes > 0],
+        lows=reference.lows,
+        highs=reference.highs,
+        total=reference.total,
+    )
+
+
+def assert_grid_matches_oracle(grid: GridProfile, oracle: GridProfile) -> None:
+    assert np.array_equal(grid.sizes, oracle.sizes)
+    assert np.array_equal(grid.values, oracle.values)
+    for axis in ("row_lows", "row_highs", "column_lows", "column_highs"):
+        assert np.array_equal(
+            getattr(grid, axis), getattr(oracle, axis), equal_nan=True
+        )
+    assert grid.total == oracle.total
+
+
 class TestMixedPlanParity:
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_mixed_plan_matches_per_request_builders(
         self, relation: Relation, csv_path: Path, executor: str
     ) -> None:
-        """bucket+presumptive+average+grid in one plan == per-request builds."""
+        """bucket+presumptive+average+grid in one plan == in-memory oracles."""
         objective = BooleanIs("card_loan", True)
         conjuncts = [
             NumericInRange("age", 30.0, 60.0),
             BooleanIs("auto_withdrawal", True),
         ]
         for name, source in source_matrix(relation, csv_path).items():
-            fused = ProfileBuilder(
+            builder = ProfileBuilder(
                 num_buckets=BUCKETS, executor=executor, seed=SEED, max_workers=2
             )
             plan, ids = build_mixed_plan()
-            results = fused.execute_plan(source, plan)
-
-            legacy = ProfileBuilder(
-                num_buckets=BUCKETS,
-                executor=executor,
-                seed=SEED,
-                max_workers=2,
-                fused=False,
-            )
+            results = builder.execute_plan(source, plan)
             fresh = source_matrix(relation, csv_path)[name]
-            counts = legacy.build_counts(
-                fresh, "balance", objectives=[objective], targets=["age"]
+            data = fresh.materialize()
+
+            # The plan samples exactly the boundaries a standalone pass does.
+            sampled = builder.sample_axis_bucketings(
+                fresh, [("balance", BUCKETS), ("age", BUCKETS), ("age", 8),
+                        ("balance", 6)]
             )
+            balance = results.bucketing(ids["bucket"])
+            age = results.bucketing(ids["average"])
+            row, column = results.request_bucketings(ids["grid"])
+            for got, pair in (
+                (balance, ("balance", BUCKETS)),
+                (age, ("age", BUCKETS)),
+                (row, ("age", 8)),
+                (column, ("balance", 6)),
+            ):
+                assert np.array_equal(got.cuts, sampled[pair].cuts)
+            assert results.bucketing(ids["presumptive"]) is balance
+
+            counts = results.counts(ids["bucket"])
             assert_profiles_identical(
-                results.counts(ids["bucket"]).profile(objective),
                 counts.profile(objective),
+                BucketProfile.from_relation(data, "balance", objective, balance),
             )
             assert_profiles_identical(
-                results.counts(ids["bucket"]).average_profile("age"),
                 counts.average_profile("age"),
+                chunk_ordered_average(fresh, "balance", "age", balance),
             )
-
-            fresh = source_matrix(relation, csv_path)[name]
-            average = legacy.build_average_profile(fresh, "age", "balance")
             assert_profiles_identical(
-                results.counts(ids["average"]).average_profile("balance"), average
+                results.counts(ids["average"]).average_profile("balance"),
+                chunk_ordered_average(fresh, "age", "balance", age),
             )
 
-            fresh = source_matrix(relation, csv_path)[name]
-            presumptive = legacy.build_presumptive_profiles(
-                fresh, "balance", objective, conjuncts
-            )
-            fused_presumptive = results.presumptive_profiles(ids["presumptive"])
-            assert list(fused_presumptive) == list(presumptive)
+            presumptive = results.presumptive_profiles(ids["presumptive"])
+            assert list(presumptive) == conjuncts
             for conjunct in conjuncts:
                 assert_profiles_identical(
-                    fused_presumptive[conjunct], presumptive[conjunct]
+                    presumptive[conjunct],
+                    BucketProfile.from_relation(
+                        data, "balance", objective, balance, presumptive=conjunct
+                    ),
                 )
 
-            fresh = source_matrix(relation, csv_path)[name]
-            legacy_grid = GridProfileBuilder(
-                num_buckets=BUCKETS,
-                executor=executor,
-                seed=SEED,
-                max_workers=2,
-                fused=False,
-            ).build_grid_counts(fresh, "age", "balance", [objective], grid=(8, 6))
-            fused_grid = results.grid_counts(ids["grid"])
-            assert np.array_equal(fused_grid.sizes, legacy_grid.sizes)
-            assert np.array_equal(
-                fused_grid.conditional[objective], legacy_grid.conditional[objective]
-            )
-            assert np.array_equal(fused_grid.row_lows, legacy_grid.row_lows)
-            assert np.array_equal(fused_grid.row_highs, legacy_grid.row_highs)
-            assert np.array_equal(fused_grid.column_lows, legacy_grid.column_lows)
-            assert np.array_equal(
-                fused_grid.column_highs, legacy_grid.column_highs
-            )
-            assert np.array_equal(
-                fused_grid.row_bucketing.cuts, legacy_grid.row_bucketing.cuts
-            )
-            assert np.array_equal(
-                fused_grid.column_bucketing.cuts,
-                legacy_grid.column_bucketing.cuts,
+            assert_grid_matches_oracle(
+                results.grid_counts(ids["grid"]).profile(objective),
+                GridProfile.from_relation(
+                    data, "age", "balance", objective, row, column
+                ),
             )
 
-    def test_fused_grid_builder_matches_unfused(
+    def test_grid_builder_matches_in_memory_oracle(
         self, relation: Relation, csv_path: Path
     ) -> None:
-        """GridProfileBuilder routes through the planner with identical grids."""
+        """GridProfileBuilder over CSV == GridProfile.from_relation, non-square."""
         objective = BooleanIs("card_loan", True)
-        grids = []
-        for fused in (True, False):
-            builder = GridProfileBuilder(seed=SEED, fused=fused)
-            grids.append(
-                builder.build_grid_profile(
-                    CSVSource(csv_path, chunk_size=CHUNK),
-                    "age",
-                    "balance",
-                    objective,
-                    grid=(9, 7),
-                )
-            )
-        assert np.array_equal(grids[0].sizes, grids[1].sizes)
-        assert np.array_equal(grids[0].values, grids[1].values)
-        assert np.array_equal(grids[0].row_lows, grids[1].row_lows)
-        assert np.array_equal(grids[0].column_highs, grids[1].column_highs)
+        source = CSVSource(csv_path, chunk_size=CHUNK)
+        counts = GridProfileBuilder(seed=SEED).build_grid_counts(
+            source, "age", "balance", [objective], grid=(9, 7)
+        )
+        assert counts.sizes.shape == (9, 7)
+        assert_grid_matches_oracle(
+            counts.profile(objective),
+            GridProfile.from_relation(
+                source.materialize(),
+                "age",
+                "balance",
+                objective,
+                counts.row_bucketing,
+                counts.column_bucketing,
+            ),
+        )
 
 
 class TestSingleScan:
@@ -286,11 +316,9 @@ class TestSingleScan:
         assert source.scans == 1
         assert len(streamed) == len(tasks)
 
-        reference = OptimizedRuleMiner(
-            CSVSource(csv_path, chunk_size=CHUNK),
-            num_buckets=BUCKETS,
-            fused=False,
-        )
+        # The in-memory miner counts from the relation with no pipeline code;
+        # handed the same boundaries it must find the same ranges.
+        reference = OptimizedRuleMiner(relation, num_buckets=BUCKETS)
         reference._bucketings.update(
             {name: miner.bucketing_for(name) for name in ("balance", "age")}
         )
@@ -338,6 +366,11 @@ class TestPlanValidation:
         with pytest.raises(PipelineError):
             ProfileBuilder(cache_budget_mb=-1)
 
+    def test_malformed_cache_budget_env_is_typed(self, monkeypatch) -> None:
+        monkeypatch.setenv("REPRO_PLAN_CACHE_MB", "lots")
+        with pytest.raises(PipelineError, match="REPRO_PLAN_CACHE_MB.*'lots'"):
+            ProfileBuilder()
+
 
 class TestSharedAxes:
     def test_same_attribute_at_two_bucket_counts(self, relation: Relation) -> None:
@@ -349,18 +382,16 @@ class TestSharedAxes:
         fine = plan.add_bucket("balance", objectives=[objective])
         results = builder.execute_plan(RelationSource(relation, chunk_size=CHUNK), plan)
 
-        reference = ProfileBuilder(num_buckets=10, seed=SEED, fused=False)
-        expected_coarse = reference.build_profile(
-            RelationSource(relation, chunk_size=CHUNK), "balance", objective
-        )
-        assert_profiles_identical(
-            results.counts(coarse).profile(objective), expected_coarse
-        )
-        reference_fine = ProfileBuilder(
-            num_buckets=BUCKETS, seed=SEED, fused=False
-        ).build_profile(
-            RelationSource(relation, chunk_size=CHUNK), "balance", objective
-        )
-        assert_profiles_identical(
-            results.counts(fine).profile(objective), reference_fine
-        )
+        for request, num_buckets in ((coarse, 10), (fine, BUCKETS)):
+            bucketing = ProfileBuilder(
+                num_buckets=num_buckets, seed=SEED
+            ).sample_bucketings(
+                RelationSource(relation, chunk_size=CHUNK), ["balance"]
+            )["balance"]
+            assert np.array_equal(results.bucketing(request).cuts, bucketing.cuts)
+            assert_profiles_identical(
+                results.counts(request).profile(objective),
+                BucketProfile.from_relation(
+                    relation, "balance", objective, bucketing
+                ),
+            )

@@ -1,4 +1,4 @@
-"""Unit tests of the service core: mapping, tiers, caching, store-less mode."""
+"""Unit tests of the service core: mapping, caching, store-less mode."""
 
 from __future__ import annotations
 
@@ -15,13 +15,7 @@ from repro.exceptions import (
     SourceChangedError,
     StoreError,
 )
-from repro.service import (
-    RuleService,
-    SERVICE_TIER_ENV,
-    ServiceConfig,
-    map_error_status,
-    resolve_service_tier,
-)
+from repro.service import RuleService, ServiceConfig, map_error_status
 from repro.service.app import _LRUCache
 
 from service_support import BUCKETS, SEED, TOKEN
@@ -50,30 +44,6 @@ def test_source_changed_outranks_its_store_error_base():
     # SourceChangedError IS a StoreError; the mapping must still say 409.
     assert isinstance(SourceChangedError("x"), StoreError)
     assert map_error_status(SourceChangedError("x")) == 409
-
-
-def test_tier_registry(monkeypatch):
-    monkeypatch.delenv(SERVICE_TIER_ENV, raising=False)
-    assert resolve_service_tier("stdlib") == "stdlib"
-    # auto resolves to something servable in every environment.
-    assert resolve_service_tier(None) in ("stdlib", "fastapi")
-    assert resolve_service_tier("auto") in ("stdlib", "fastapi")
-    monkeypatch.setenv(SERVICE_TIER_ENV, "stdlib")
-    assert resolve_service_tier(None) == "stdlib"
-    with pytest.raises(ServiceError):
-        resolve_service_tier("gunicorn")
-
-
-def test_explicit_fastapi_without_the_stack_is_typed(monkeypatch):
-    from repro.service import fastapi_app
-
-    if fastapi_app.HAVE_FASTAPI:  # pragma: no cover - dependency present
-        pytest.skip("fastapi installed; the degraded branch is not reachable")
-    with pytest.raises(ServiceError) as excinfo:
-        resolve_service_tier("fastapi")
-    assert excinfo.value.status == 500
-    with pytest.raises(ServiceError):
-        fastapi_app.build_fastapi_app(object())
 
 
 def test_lru_cache_evicts_oldest():
