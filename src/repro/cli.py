@@ -613,7 +613,7 @@ def _add_kernel_tier_argument(parser: argparse.ArgumentParser) -> None:
         "--kernel-tier",
         choices=("auto", "numpy", "compiled"),
         default=None,
-        help="counting/solver kernel tier: compiled (numba) when available "
+        help="counting kernel tier: compiled (numba) when available "
         "under auto, pure numpy otherwise; all tiers are bit-identical "
         "(default: REPRO_KERNEL_TIER or auto)",
     )

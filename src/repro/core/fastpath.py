@@ -20,6 +20,11 @@ this module re-implements both in structure-of-arrays form:
   is answered by one vectorized binary search against the suffix running
   maximum of that table.
 
+:func:`fast_maximize_ratio_many` and :func:`fast_maximize_support_many`
+answer a whole stack of profiles per call — the catalog's ``solve_many``
+and the §1.4 rectangle bands — with the same selections (see the section
+comment above them).
+
 Parity guarantee
 ----------------
 Both functions evaluate exactly the same floating-point comparisons as the
@@ -46,7 +51,6 @@ import numpy as np
 from repro.core.rules import RangeSelection
 from repro.core.validation import validate_bucket_arrays, validate_threshold
 from repro.exceptions import HullInvariantWarning, ProfileError
-from repro.kernels import load_compiled, resolve_kernel_tier
 
 __all__ = [
     "fast_maximize_ratio",
@@ -55,14 +59,6 @@ __all__ = [
     "fast_maximize_support_many",
     "fast_effective_indices",
 ]
-
-# Upper bound on the number of elements of the per-chunk pair tensors built
-# by the stacked batch solvers.  Deliberately small (~0.8 MB of float64 per
-# temporary): the batched reductions stream a dozen same-shaped temporaries
-# per chunk, so keeping a chunk's working set inside the L2/L3 cache is worth
-# more than amortizing the Python-level chunk loop — measured ~1.4-1.8x on
-# the rectangle band workloads versus 8e6-element chunks.
-_PAIR_TENSOR_ELEMENTS = 100_000
 
 
 def fast_maximize_ratio(
@@ -343,13 +339,14 @@ def fast_maximize_support(
 
 # -- stacked batch entry points ----------------------------------------------
 #
-# The rectangle search of the §1.4 extension collapses every pair of grid
-# rows into one column-count row and solves each row independently — R(R+1)/2
-# one-dimensional problems over the *same* number of columns.  Calling the
-# scalar solvers in a Python loop makes the per-call overhead (validation,
-# prefix sums, sweep setup) dominate, so the entry points below accept a whole
-# (num_rows, num_buckets) stack at once and answer every row from shared 2-D
-# numpy reductions.
+# The §1.3 catalog solves hundreds of same-kind profiles over one bucketing
+# (every Boolean objective against each numeric attribute), and the §1.4
+# rectangle search collapses every pair of grid rows into one column-count
+# row — R(R+1)/2 one-dimensional problems over the *same* number of columns.
+# Calling the scalar solvers in a Python loop makes the per-call overhead
+# (validation, prefix sums, sweep setup) dominate, so the entry points below
+# accept a whole (num_rows, num_buckets) stack at once and answer every row
+# from shared 2-D numpy reductions.
 #
 # Stacked rows may contain empty buckets (``u_i == 0``) — a row band of a
 # sparse grid usually does.  Empty buckets are *ignored*: each row behaves
@@ -358,17 +355,19 @@ def fast_maximize_support(
 # full row (``start``/``end`` always point at non-empty buckets).  On
 # integer-count profiles the returned selections are bit-identical to that
 # per-row procedure — zero buckets contribute exactly 0.0 to every prefix
-# sum, and distinct count ratios with denominators below ~1e7 never collide
-# after float64 division (their gap is at least 1/total², far above one ulp),
+# sum, and every ratio comparison is an exact cross product below 2**53 —
 # the same envelope as the scalar solvers' exact-product guarantee.
 #
-# Complexity trade-off: the batched answers come from O(M²)-per-row pair (or
-# broadcast) matrices, whereas the scalar solvers are O(M) sweeps.  The
-# stacked form wins when *many* rows share a small-to-moderate M (hundreds
-# of grid bands of a few dozen columns each: one vectorized call replaces
-# hundreds of Python-level sweeps).  For a handful of rows with thousands of
-# buckets — the §1.3 catalog shape — call the scalar solvers per profile
-# instead; that regime is theirs.
+# Complexity: both stacked solvers are O(M) (ratio, per parametric step) or
+# O(M log M) (support) per row, like the scalar sweeps, so one stacked call
+# is the right shape for any row width — a few wide catalog profiles as
+# much as hundreds of narrow grid bands.
+
+# Prefix points per block of rows solved together by the parametric ratio
+# sweep (32 rows at M=1000, hundreds of narrow grid bands).  Each block
+# streams a dozen (rows, M+1) float64 temporaries, so this keeps the working
+# set at a few MiB; larger blocks run slower, not faster.
+_SOLVE_BLOCK_POINTS = 32_768
 
 
 def _validate_stacked_arrays(
@@ -393,13 +392,16 @@ def _validate_stacked_arrays(
     return sizes, values
 
 
-def _stacked_totals(sizes: np.ndarray, total) -> np.ndarray:
-    """Per-row totals: explicit (scalar or per-row) or the row sums."""
-    if total is None:
-        return sizes.sum(axis=1)
-    return np.broadcast_to(
-        np.asarray(total, dtype=np.float64), (sizes.shape[0],)
-    )
+def _per_row(value, num_rows: int) -> np.ndarray:
+    """A scalar or per-row parameter as a ``(num_rows,)`` float64 array."""
+    return np.broadcast_to(np.asarray(value, dtype=np.float64), (num_rows,))
+
+
+def _prefix_sums(matrix: np.ndarray) -> np.ndarray:
+    """Row-wise prefix sums with a leading zero column: ``(rows, M+1)``."""
+    prefix = np.zeros((matrix.shape[0], matrix.shape[1] + 1))
+    np.cumsum(matrix, axis=1, out=prefix[:, 1:])
+    return prefix
 
 
 def _kept_neighbors(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -408,11 +410,14 @@ def _kept_neighbors(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``next_kept[r, i]`` is the smallest ``j >= i`` with ``sizes[r, j] > 0``
     (``num_buckets`` when none) and ``previous_kept[r, i]`` the largest
     ``j <= i`` (``-1`` when none).  Both solvers snap winning indices onto
-    non-empty buckets with these — one shared definition so the two engines
-    can never drift apart.
+    non-empty buckets with these — one shared definition so the two stacked
+    solvers can never drift apart.
     """
     num_buckets = sizes.shape[1]
     positions = np.arange(num_buckets)
+    if np.all(sizes > 0):
+        every = np.broadcast_to(positions, sizes.shape)
+        return every, every
     next_kept = np.minimum.accumulate(
         np.where(sizes > 0, positions, num_buckets)[:, ::-1], axis=1
     )[:, ::-1]
@@ -422,12 +427,154 @@ def _kept_neighbors(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return next_kept, previous_kept
 
 
+def _gather(matrix: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``matrix[r, index[r, j]]`` for every ``(r, j)``, as one flat ``take``."""
+    offsets = np.arange(0, matrix.size, matrix.shape[1])[:, None]
+    return np.take(matrix, index + offsets)
+
+
+def _selection(
+    row: int,
+    start: int,
+    stop: int,
+    prefix_sizes: np.ndarray,
+    prefix_values: np.ndarray,
+    next_kept: np.ndarray,
+    previous_kept: np.ndarray,
+    total: float,
+) -> RangeSelection:
+    """The selection of prefix range ``[start, stop)`` snapped onto kept buckets.
+
+    Zero buckets contribute nothing to the prefix sums, so moving the start
+    forward to the next non-empty bucket and the end back to the previous
+    one changes no accumulated quantity — it only canonicalizes the reported
+    indices to the compacted-row answer.
+    """
+    return RangeSelection(
+        start=int(next_kept[row, start]),
+        end=int(previous_kept[row, stop - 1]),
+        support_count=float(prefix_sizes[row, stop] - prefix_sizes[row, start]),
+        objective_value=float(prefix_values[row, stop] - prefix_values[row, start]),
+        total_count=float(total),
+    )
+
+
+def _last_ample_starts(prefix_sizes: np.ndarray, min_counts: np.ndarray) -> np.ndarray:
+    """Per prefix end ``k``: the last start ``s`` whose range ``[s, k)`` is ample.
+
+    Ample means the scalar sweep's exact test ``Pu[k] - Pu[s] >= minsup``
+    plus at least one tuple (``Pu[k] - Pu[s] > 0``); ``-1`` marks an end no
+    start reaches.  Both tests are monotone in ``s`` (``Pu`` is
+    non-decreasing), so one ``searchsorted`` per row on the rounded query
+    ``Pu[k] - minsup`` lands on the boundary, and a vectorized fix-up walks
+    any position the query's rounding misplaced onto the exact one.
+    """
+    num_points = prefix_sizes.shape[1]
+    last = np.array(
+        [
+            points.searchsorted(points - minimum, "right")
+            if minimum > 0
+            else points.searchsorted(points, "left")
+            for points, minimum in zip(prefix_sizes, min_counts)
+        ]
+    ) - 1
+    thresholds = min_counts[:, None]
+
+    def ample(starts: np.ndarray) -> np.ndarray:
+        spans = prefix_sizes - _gather(
+            prefix_sizes, np.clip(starts, 0, num_points - 1)
+        )
+        inside = (starts >= 0) & (starts < num_points)
+        return inside & (spans >= thresholds) & (spans > 0)
+
+    while True:
+        grow = ample(last + 1)
+        shrink = (last >= 0) & ~ample(last)
+        if not (grow.any() or shrink.any()):
+            return last
+        last += grow
+        last -= shrink
+
+
+def _solve_ratio_block(
+    prefix_sizes: np.ndarray, prefix_values: np.ndarray, min_counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dinkelbach's parametric sweep over one block of stacked rows.
+
+    Returns per row the winning prefix range ``[start, stop)`` and whether
+    the row has any ample range at all.
+    """
+    num_rows, num_points = prefix_sizes.shape
+    last = _last_ample_starts(prefix_sizes, min_counts)
+    ends_ok = last >= 0
+    feasible = ends_ok[:, -1]  # the whole row is the widest candidate range
+    safe_last = np.maximum(last, 0)
+    positions = np.arange(num_points)
+    rows = np.arange(num_rows)
+
+    # λ = a/b is always the exact ratio of a real ample range.  It starts at
+    # the best of the tightest ample range per end — the optimum usually
+    # sits at the support floor, so this saves most of the steps.  A range
+    # [s, k) beats λ iff b·v − a·u > 0, i.e. H[k] − H[s] > 0 with
+    # H = Pv·b − Pu·a — exact products on integer counts — so the best gain
+    # per end is H[k] minus the running minimum of H over its ample starts,
+    # and the argmax range is the next λ.
+    tight_sizes = prefix_sizes - _gather(prefix_sizes, safe_last)
+    tight_values = prefix_values - _gather(prefix_values, safe_last)
+    ratios = np.full((num_rows, num_points), -np.inf)
+    np.divide(tight_values, tight_sizes, out=ratios, where=ends_ok)
+    best_stop = np.argmax(ratios, axis=1)
+    best_start = safe_last[rows, best_stop]
+    a = tight_values[rows, best_stop]
+    b = tight_sizes[rows, best_stop]
+    active = feasible.copy()
+    while np.any(active):
+        objective = prefix_values * b[:, None] - prefix_sizes * a[:, None]
+        floor = _gather(np.minimum.accumulate(objective, axis=1), safe_last)
+        gain = np.where(ends_ok, objective - floor, -np.inf)
+        stop = np.argmax(gain, axis=1)
+        start = np.argmin(
+            np.where(positions <= safe_last[rows, stop][:, None], objective, np.inf),
+            axis=1,
+        )
+        new_a = prefix_values[rows, stop] - prefix_values[rows, start]
+        new_b = prefix_sizes[rows, stop] - prefix_sizes[rows, start]
+        # The float ratio test only matters outside the exact envelope: a
+        # strictly increasing λ from a finite candidate set always halts.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            active &= (gain[rows, stop] > 0) & (new_a / new_b > a / b)
+        best_start[active] = start[active]
+        best_stop[active] = stop[active]
+        a[active] = new_a[active]
+        b[active] = new_b[active]
+
+    # Exact tie-break at the optimal λ: the optimal ranges are exactly those
+    # with zero gain.  Per end the widest one starts at the first argmin of
+    # H over its ample starts; across ends take the largest tuple count,
+    # then the smallest start — the scalar sweep's lexicographic key.
+    objective = prefix_values * b[:, None] - prefix_sizes * a[:, None]
+    prefix_minimum = np.minimum.accumulate(objective, axis=1)
+    new_minimum = np.ones((num_rows, num_points), dtype=bool)
+    new_minimum[:, 1:] = objective[:, 1:] < prefix_minimum[:, :-1]
+    first_argmin = np.maximum.accumulate(
+        np.where(new_minimum, positions, 0), axis=1
+    )
+    starts = _gather(first_argmin, safe_last)
+    tight = ends_ok & (objective == _gather(prefix_minimum, safe_last))
+    counts = prefix_sizes - _gather(prefix_sizes, starts)
+    tight &= counts == np.where(tight, counts, -np.inf).max(axis=1)[:, None]
+    tight &= starts == np.where(tight, starts, num_points).min(axis=1)[:, None]
+    exact = tight.any(axis=1)
+    stop = np.where(exact, np.argmax(tight, axis=1), best_stop)
+    start = np.where(exact, starts[rows, stop], best_start)
+    return start, stop, feasible
+
+
 def fast_maximize_ratio_many(
     sizes: np.ndarray,
     values: np.ndarray,
     min_support_count: float | np.ndarray,
     total: float | np.ndarray | None = None,
-    kernel_tier: str | None = None,
 ) -> list[RangeSelection | None]:
     """Solve :func:`fast_maximize_ratio` for every row of a stacked profile.
 
@@ -440,11 +587,6 @@ def fast_maximize_ratio_many(
         Scalar or per-row minimum tuple count.
     total:
         Scalar or per-row total; defaults to each row's own ``Σ u_i``.
-    kernel_tier:
-        ``"auto"``/``"numpy"``/``"compiled"`` (default: the
-        ``REPRO_KERNEL_TIER`` environment variable, then ``"auto"``).  The
-        compiled tier runs the same pair sweep as one Numba loop per row,
-        bit-identical including tie-breaking.
 
     Returns
     -------
@@ -453,98 +595,38 @@ def fast_maximize_ratio_many(
         ``start``/``end`` indexing the *full* row and always pointing at
         non-empty buckets.
 
-    All rows are answered from chunked ``(rows, pairs)`` matrices over the
-    flattened upper triangle of (start, end) index pairs — no per-row
-    Python-level solver call — with the scalar solvers' exact tie-breaking:
-    maximal ratio, then maximal tuple count, then the smallest starting
-    index.  That is O(M²) work per row (memory stays bounded by chunking),
-    against the scalar sweep's O(M): use this for many rows of moderate
-    width, and :func:`fast_maximize_ratio` per profile for few wide ones
-    (see the section comment above).
+    Rows are solved in blocks of ``_SOLVE_BLOCK_POINTS`` prefix points by
+    Dinkelbach's parametric method for fractional programming
+    (W. Dinkelbach, "On nonlinear fractional programming", *Management
+    Science* 13(7), 1967): for the current ratio ``λ`` of a real ample
+    range, one O(M) pass per row — prefix sums, a ``searchsorted`` of the
+    ample starts on the monotone support prefix, and a running minimum —
+    finds the range maximizing ``Σv − λ·Σu``; its ratio is the next ``λ``,
+    until no row improves (a handful of steps in practice).  A final exact
+    pass applies the scalar solvers' tie-breaking: maximal ratio, then
+    maximal tuple count, then the smallest starting index.
     """
     sizes, values = _validate_stacked_arrays(sizes, values)
-    num_rows, num_buckets = sizes.shape
-    totals = _stacked_totals(sizes, total)
-    min_counts = np.broadcast_to(
-        np.maximum(np.asarray(min_support_count, dtype=np.float64), 0.0),
-        (num_rows,),
-    )
-
-    if resolve_kernel_tier(kernel_tier) == "compiled":
-        kernels = load_compiled()
-        raw_starts, raw_ends, counts, objectives = kernels.maximize_ratio_many(
-            np.ascontiguousarray(sizes),
-            np.ascontiguousarray(values),
-            np.ascontiguousarray(min_counts),
-        )
-        next_kept, previous_kept = _kept_neighbors(sizes)
-        compiled_results: list[RangeSelection | None] = [None] * num_rows
-        for row in np.flatnonzero(raw_starts >= 0):
-            compiled_results[int(row)] = RangeSelection(
-                start=int(next_kept[row, raw_starts[row]]),
-                end=int(previous_kept[row, raw_ends[row]]),
-                support_count=float(counts[row]),
-                objective_value=float(objectives[row]),
-                total_count=float(totals[row]),
-            )
-        return compiled_results
-
-    prefix_sizes = np.concatenate(
-        (np.zeros((num_rows, 1)), np.cumsum(sizes, axis=1)), axis=1
-    )
-    prefix_values = np.concatenate(
-        (np.zeros((num_rows, 1)), np.cumsum(values, axis=1)), axis=1
-    )
-    # Flat (start, end) pairs in row-major upper-triangle order: argmax over
-    # the pair axis then breaks remaining ties towards the smallest start.
-    start_index, end_index = np.triu_indices(num_buckets)
-    num_pairs = start_index.shape[0]
-
-    # Pairs whose endpoints sit on zero buckets are *not* masked out of the
-    # pair matrix: extending a range across zero buckets changes no prefix
-    # sum, so such a pair carries the bit-identical (ratio, count) key of
-    # its trimmed canonical pair, and in row-major order the canonical
-    # winner's variant family still surfaces first.  The winner's indices
-    # are snapped onto non-empty buckets afterwards — two O(M) running
-    # scans instead of two fancy-gathered masks over every pair.
+    num_rows = sizes.shape[0]
+    totals = sizes.sum(axis=1) if total is None else _per_row(total, num_rows)
+    min_counts = np.maximum(_per_row(min_support_count, num_rows), 0.0)
     next_kept, previous_kept = _kept_neighbors(sizes)
 
     results: list[RangeSelection | None] = [None] * num_rows
-    chunk_rows = max(1, _PAIR_TENSOR_ELEMENTS // num_pairs)
-    for begin in range(0, num_rows, chunk_rows):
-        stop = min(begin + chunk_rows, num_rows)
-        block = slice(begin, stop)
-        # u[r, p] / v[r, p]: totals of the inclusive bucket range of pair p.
-        u = prefix_sizes[block, end_index + 1] - prefix_sizes[block, start_index]
-        v = prefix_values[block, end_index + 1] - prefix_values[block, start_index]
-        # Ample and non-degenerate: at least one tuple in the range (so a
-        # non-empty bucket exists to snap the winner onto).  An explicit
-        # positivity pass is only needed when the ample test cannot imply it.
-        valid = u >= min_counts[block, None]
-        if np.min(min_counts[block]) <= 0:
-            valid &= u > 0
-        ratio = np.full_like(u, -np.inf)
-        np.divide(v, u, out=ratio, where=valid)
-        best_ratio = ratio.max(axis=1)
-        feasible = np.isfinite(best_ratio)
-        if not np.any(feasible):
-            continue
-        # Tie-breaking in canonical order: among the ratio maxima take the
-        # largest tuple count, then the first (= smallest-start) pair —
-        # exactly the scalar solvers' lexicographic key.
-        tied = ratio == best_ratio[:, None]
-        best_count = np.maximum.reduce(u, axis=1, where=tied, initial=-np.inf)
-        tied &= u == best_count[:, None]
-        winners = np.argmax(tied, axis=1)
+    block_rows = max(1, _SOLVE_BLOCK_POINTS // (sizes.shape[1] + 1))
+    for begin in range(0, num_rows, block_rows):
+        block = slice(begin, begin + block_rows)
+        prefix_sizes = _prefix_sums(sizes[block])
+        prefix_values = _prefix_sums(values[block])
+        starts, stops, feasible = _solve_ratio_block(
+            prefix_sizes, prefix_values, min_counts[block]
+        )
         for offset in np.flatnonzero(feasible):
             row = begin + int(offset)
-            pair = int(winners[offset])
-            results[row] = RangeSelection(
-                start=int(next_kept[row, start_index[pair]]),
-                end=int(previous_kept[row, end_index[pair]]),
-                support_count=float(u[offset, pair]),
-                objective_value=float(v[offset, pair]),
-                total_count=float(totals[row]),
+            results[row] = _selection(
+                int(offset), int(starts[offset]), int(stops[offset]),
+                prefix_sizes, prefix_values,
+                next_kept[block], previous_kept[block], totals[row],
             )
     return results
 
@@ -552,127 +634,59 @@ def fast_maximize_ratio_many(
 def fast_maximize_support_many(
     sizes: np.ndarray,
     values: np.ndarray,
-    min_ratio: float,
+    min_ratio: float | np.ndarray,
     total: float | np.ndarray | None = None,
-    kernel_tier: str | None = None,
 ) -> list[RangeSelection | None]:
     """Solve :func:`fast_maximize_support` for every row of a stacked profile.
 
     Same stacked contract as :func:`fast_maximize_ratio_many`: rows are
     independent profiles, zero-size buckets are ignored, and the returned
-    ``start``/``end`` index the full row at non-empty buckets.  The scalar
-    solver's cumulative-gain machinery runs as whole-matrix reductions: one
-    2-D cumulative sum for the gain table ``F``, one reversed running maximum
-    for the suffix table ``H``, and every row's ``top(s)`` pointers answered
-    by a chunked broadcast comparison (the batched equivalent of one
-    ``searchsorted`` per row, with identical float comparisons).  The
-    broadcast is O(M²) work per row (memory bounded by chunking) against
-    the scalar solver's O(M log M) — the same many-rows-of-moderate-width
-    regime as :func:`fast_maximize_ratio_many` (see the section comment
-    above).
+    ``start``/``end`` index the full row at non-empty buckets.
+    ``min_ratio`` is a scalar or a per-row minimum ratio.  The scalar
+    solver's cumulative-gain machinery runs as whole-matrix reductions — one
+    2-D cumulative sum for the gain table ``F`` and one reversed running
+    maximum for the suffix table ``H`` — and each row's ``top(s)`` pointers
+    come from one ``searchsorted`` against its reversed ``H``, the scalar
+    solver's exact comparison: O(M log M) per row.
     """
     sizes, values = _validate_stacked_arrays(sizes, values)
-    min_ratio = float(min_ratio)
-    if not np.isfinite(min_ratio):
-        raise ProfileError(f"min_ratio must be finite, got {min_ratio}")
     num_rows, num_buckets = sizes.shape
-    totals = _stacked_totals(sizes, total)
+    min_ratios = _per_row(min_ratio, num_rows)
+    if not np.all(np.isfinite(min_ratios)):
+        raise ProfileError(f"min_ratio must be finite, got {min_ratio}")
+    totals = sizes.sum(axis=1) if total is None else _per_row(total, num_rows)
 
-    if resolve_kernel_tier(kernel_tier) == "compiled":
-        kernels = load_compiled()
-        raw_starts, end_pointers = kernels.maximize_support_many(
-            np.ascontiguousarray(sizes),
-            np.ascontiguousarray(values),
-            min_ratio,
-        )
-        compiled_prefix_sizes = np.concatenate(
-            (np.zeros((num_rows, 1)), np.cumsum(sizes, axis=1)), axis=1
-        )
-        compiled_prefix_values = np.concatenate(
-            (np.zeros((num_rows, 1)), np.cumsum(values, axis=1)), axis=1
-        )
-        next_kept, previous_kept = _kept_neighbors(sizes)
-        compiled_results: list[RangeSelection | None] = [None] * num_rows
-        for row in np.flatnonzero(raw_starts >= 0):
-            start = int(next_kept[row, raw_starts[row]])
-            end = int(previous_kept[row, end_pointers[row] - 1])
-            compiled_results[int(row)] = RangeSelection(
-                start=start,
-                end=end,
-                support_count=float(
-                    compiled_prefix_sizes[row, end + 1]
-                    - compiled_prefix_sizes[row, start]
-                ),
-                objective_value=float(
-                    compiled_prefix_values[row, end + 1]
-                    - compiled_prefix_values[row, start]
-                ),
-                total_count=float(totals[row]),
-            )
-        return compiled_results
-
-    gains = values - min_ratio * sizes
-    cumulative_gain = np.concatenate(
-        (np.zeros((num_rows, 1)), np.cumsum(gains, axis=1)), axis=1
-    )
-    prefix_sizes = np.concatenate(
-        (np.zeros((num_rows, 1)), np.cumsum(sizes, axis=1)), axis=1
-    )
-    prefix_values = np.concatenate(
-        (np.zeros((num_rows, 1)), np.cumsum(values, axis=1)), axis=1
-    )
+    cumulative_gain = _prefix_sums(values - min_ratios[:, None] * sizes)
+    prefix_sizes = _prefix_sums(sizes)
+    prefix_values = _prefix_sums(values)
 
     # H[k] = max(F[k..M]); reversed it is non-decreasing, so the largest k
-    # with F[k] >= F[s] is M minus the count of reversed entries below F[s]
-    # (exactly searchsorted side="left", batched across rows).
-    suffix_maximum = np.maximum.accumulate(
-        cumulative_gain[:, ::-1], axis=1
-    )[:, ::-1]
-    reversed_suffix = suffix_maximum[:, ::-1]
-    ends = np.empty((num_rows, num_buckets), dtype=np.int64)
-    chunk_rows = max(1, _PAIR_TENSOR_ELEMENTS // (num_buckets * (num_buckets + 1)))
-    for begin in range(0, num_rows, chunk_rows):
-        stop = min(begin + chunk_rows, num_rows)
-        block = slice(begin, stop)
-        below = (
-            reversed_suffix[block, None, :]
-            < cumulative_gain[block, :num_buckets, None]
-        )
-        ends[block] = num_buckets - below.sum(axis=2)
+    # with F[k] >= F[s] is M minus the count of reversed entries below F[s].
+    reversed_suffix = np.maximum.accumulate(cumulative_gain[:, ::-1], axis=1)
+    ends = num_buckets - np.array(
+        [
+            suffix.searchsorted(gains[:num_buckets], "left")
+            for suffix, gains in zip(reversed_suffix, cumulative_gain)
+        ]
+    )
 
     starts = np.arange(num_buckets)
-    counts = np.take_along_axis(
-        prefix_sizes, np.maximum(ends, 0), axis=1
-    ) - prefix_sizes[:, :num_buckets]
+    counts = _gather(prefix_sizes, ends) - prefix_sizes[:, :num_buckets]
     # A range must span at least one prefix step *and* contain at least one
     # non-empty bucket (a positive count); ranges made purely of zero buckets
     # are artifacts of the uncompacted representation.
     valid = (ends >= starts[None, :] + 1) & (counts > 0)
     best_count = np.where(valid, counts, -np.inf).max(axis=1)
+    # argmax returns the first maximum: ties break towards the smaller start.
     winners = np.argmax(valid & (counts == best_count[:, None]), axis=1)
 
-    # Snap the winning range onto non-empty buckets: zero buckets contribute
-    # nothing to F or the prefix sums, so moving the start forward to the
-    # next non-empty bucket and the end back to the previous one changes no
-    # accumulated quantity — it only canonicalizes the reported indices to
-    # the compacted-row answer.
     next_kept, previous_kept = _kept_neighbors(sizes)
-
-    results: list[RangeSelection | None] = [None] * num_rows
-    for row in np.flatnonzero(np.isfinite(best_count)):
-        raw_start = int(winners[row])
-        raw_end = int(ends[row, raw_start]) - 1
-        start = int(next_kept[row, raw_start])
-        end = int(previous_kept[row, raw_end])
-        results[int(row)] = RangeSelection(
-            start=start,
-            end=end,
-            support_count=float(
-                prefix_sizes[row, end + 1] - prefix_sizes[row, start]
-            ),
-            objective_value=float(
-                prefix_values[row, end + 1] - prefix_values[row, start]
-            ),
-            total_count=float(totals[row]),
+    return [
+        _selection(
+            row, int(winners[row]), int(ends[row, winners[row]]),
+            prefix_sizes, prefix_values, next_kept, previous_kept, totals[row],
         )
-    return results
+        if np.isfinite(best_count[row])
+        else None
+        for row in range(num_rows)
+    ]

@@ -36,7 +36,8 @@ Parity guarantee: the batch path builds profiles from the same
 fast solvers evaluate the same floating-point comparisons as the reference
 ones, so ``mine_many`` returns rules with the same ``(start, end,
 support_count, objective_value)`` as calling the single-rule methods in a
-loop — ``tests/core/test_fastpath.py`` asserts this equivalence.
+loop — ``tests/core/test_fastpath.py`` and ``tests/core/test_miner.py``
+assert this equivalence, the latter for the stacked ``solve_many`` too.
 
 The miner caches bucketings and profiles keyed by the attribute and the
 objective so that mining many rules over the same relation does not repeat
@@ -76,6 +77,7 @@ from repro.core.average import (
     maximum_support_average_rule,
     maximum_support_range,
 )
+from repro.core.fastpath import fast_maximize_ratio_many, fast_maximize_support_many
 from repro.core.optimized_confidence import solve_optimized_confidence
 from repro.core.optimized_support import solve_optimized_support
 from repro.core.profile import BucketProfile
@@ -85,6 +87,7 @@ from repro.core.rules import (
     RangeSelection,
     RuleKind,
 )
+from repro.core.validation import validate_fraction, validate_threshold
 from repro.exceptions import OptimizationError, ProfileError, SchemaError
 from repro.relation.conditions import BooleanIs, Condition
 from repro.relation.relation import Relation
@@ -98,6 +101,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular import)
 __all__ = ["OptimizedRuleMiner", "MiningSettings", "MiningTask"]
 
 _ENGINES = ("fast", "reference")
+
+# Per kind, the threshold check its per-task solver runs (same name, same
+# typed error).
+_THRESHOLD_CHECKS = {
+    RuleKind.OPTIMIZED_CONFIDENCE: lambda value: validate_fraction(
+        "min_support", value, allow_zero=True
+    ),
+    RuleKind.OPTIMIZED_SUPPORT: lambda value: validate_fraction(
+        "min_confidence", value
+    ),
+    RuleKind.MAXIMUM_AVERAGE: lambda value: validate_fraction(
+        "min_support", value, allow_zero=True
+    ),
+    RuleKind.MAXIMUM_SUPPORT_AVERAGE: lambda value: validate_threshold(
+        "min_average", value
+    ),
+}
+
+# Kinds the fast engine solves as stacks.  The §5 average kinds stay per
+# task: their real-valued sums fall outside the stacked solvers' exact
+# integer-product envelope.
+_STACKED_KINDS = (RuleKind.OPTIMIZED_CONFIDENCE, RuleKind.OPTIMIZED_SUPPORT)
 
 
 @dataclass(frozen=True)
@@ -724,6 +749,13 @@ class OptimizedRuleMiner:
         source the whole catalog's profiles are prefetched in one fused
         scan of the data before any solver runs.
 
+        With ``engine="fast"`` the confidence and support tasks are grouped
+        by kind and bucket count and each group is answered by one stacked
+        solver call (:func:`~repro.core.fastpath.fast_maximize_ratio_many` /
+        :func:`~repro.core.fastpath.fast_maximize_support_many`), with the
+        same selections as solving task by task; the §5 average kinds and
+        ``engine="reference"`` solve task by task.
+
         Safe to call from several threads at once: cache population happens
         under the miner's lock in task order (so the first caller fills the
         caches exactly as a single-threaded run would — same rng draws, same
@@ -736,26 +768,54 @@ class OptimizedRuleMiner:
         with self._cache_lock:
             self._prefetch_streaming_profiles(tasks)
             profiles = [self._task_profile(task) for task in tasks]
-        selections: list[RangeSelection | None] = []
-        for task, profile in zip(tasks, profiles):
-            threshold = self._task_threshold(task, settings)
-            if task.kind is RuleKind.OPTIMIZED_CONFIDENCE:
-                selection = solve_optimized_confidence(
+        # Every threshold is checked in task order before anything is solved,
+        # so a bad task raises exactly the typed error its solver would.
+        thresholds = [
+            _THRESHOLD_CHECKS[task.kind](self._task_threshold(task, settings))
+            for task in tasks
+        ]
+        selections: list[RangeSelection | None] = [None] * len(tasks)
+        stacks: dict[tuple[RuleKind, int], list[int]] = {}
+        for index, (task, profile, threshold) in enumerate(
+            zip(tasks, profiles, thresholds)
+        ):
+            if self._engine == "fast" and task.kind in _STACKED_KINDS:
+                stacks.setdefault((task.kind, profile.num_buckets), []).append(index)
+            elif task.kind is RuleKind.OPTIMIZED_CONFIDENCE:
+                selections[index] = solve_optimized_confidence(
                     profile, threshold, engine=self._engine
                 )
             elif task.kind is RuleKind.OPTIMIZED_SUPPORT:
-                selection = solve_optimized_support(
+                selections[index] = solve_optimized_support(
                     profile, threshold, engine=self._engine
                 )
             elif task.kind is RuleKind.MAXIMUM_AVERAGE:
-                selection = maximum_average_range(
+                selections[index] = maximum_average_range(
                     profile, threshold, engine=self._engine
                 )
             else:
-                selection = maximum_support_range(
+                selections[index] = maximum_support_range(
                     profile, threshold, engine=self._engine
                 )
-            selections.append(selection)
+        # The fast engine answers each same-kind, same-width stack of
+        # confidence/support profiles in one stacked call, with the same
+        # thresholds (support counts are ``min_support * total`` exactly as
+        # ``solve_optimized_confidence`` computes them) and the same results.
+        for (kind, _), indices in stacks.items():
+            sizes = np.stack([profiles[index].sizes for index in indices])
+            values = np.stack([profiles[index].values for index in indices])
+            totals = np.array([profiles[index].total for index in indices])
+            limits = np.array([thresholds[index] for index in indices])
+            if kind is RuleKind.OPTIMIZED_CONFIDENCE:
+                solved = fast_maximize_ratio_many(
+                    sizes, values, limits * totals, total=totals
+                )
+            else:
+                solved = fast_maximize_support_many(
+                    sizes, values, limits, total=totals
+                )
+            for index, selection in zip(indices, solved):
+                selections[index] = selection
         return selections
 
     def mine_many(

@@ -29,9 +29,8 @@ module implements the rectangular case on a bucket grid:
 The total work is ``O(R² · C)`` as before (the follow-up papers give
 asymptotically faster variants), but every step is array-native now.  The
 per-band scalar solvers survive as the ``engine="reference"`` oracle: on
-integer-count grids whose total stays below ~1e7 tuples — the stacked
-solvers' float-division exactness envelope (see ``repro.core.fastpath``) —
-both engines return bit-identical rectangles, which
+integer-count grids — the stacked solvers' exact-product envelope (see
+``repro.core.fastpath``) — both engines return bit-identical rectangles, which
 ``tests/extensions/test_two_dimensional.py`` asserts against a brute-force
 enumeration oracle.
 """
@@ -233,13 +232,6 @@ def _iter_band_blocks(
         )
 
 
-# Column count beyond which the fast engine dispatches each band to the
-# scalar O(C) sweeps instead of the O(C²) pair matrix: past a few hundred
-# columns the stacked form does more element work than one Python-level
-# solver call per band costs (both produce bit-identical selections).
-_WIDE_BAND_COLUMNS = 192
-
-
 def _scalar_band_selection(
     band_sizes: np.ndarray,
     band_values: np.ndarray,
@@ -247,15 +239,11 @@ def _scalar_band_selection(
     min_support: float,
     min_confidence: float,
     total: float,
-    engine: str,
 ) -> RangeSelection | None:
-    """Per-band path: compact one band and run the scalar solvers on it.
+    """Per-band oracle: compact one band and run the scalar solvers on it.
 
-    With ``engine="reference"`` this is the object-based oracle; with
-    ``engine="fast"`` it is the O(C) scalar sweep the fast engine falls back
-    to on very wide grids.  The winning compact indices are mapped back to
-    full-grid column indices, so every path reports selections in the same
-    coordinate system.
+    The winning compact indices are mapped back to full-grid column indices,
+    so both engines report selections in the same coordinate system.
     """
     keep = band_sizes > 0
     if not np.any(keep):
@@ -265,11 +253,11 @@ def _scalar_band_selection(
     values = band_values[keep]
     if kind is RuleKind.OPTIMIZED_CONFIDENCE:
         selection = maximize_ratio(
-            sizes, values, min_support * total, total=total, engine=engine
+            sizes, values, min_support * total, total=total, engine="reference"
         )
     else:
         selection = maximize_support(
-            sizes, values, min_confidence, total=total, engine=engine
+            sizes, values, min_confidence, total=total, engine="reference"
         )
     if selection is None:
         return None
@@ -302,16 +290,10 @@ def _best_rectangle(
             f"rectangle mining supports confidence/support rules, got {kind}"
         )
 
-    # The stacked batched solvers do O(C²) element work per band; on very
-    # wide grids the scalar O(C) sweep per band is the cheaper fast path
-    # (identical selections either way).  The reference engine always runs
-    # the per-band object-based oracle.
-    stacked = engine == "fast" and profile.shape[1] <= _WIDE_BAND_COLUMNS
-
     best: RectangleRule | None = None
     best_key: tuple[float, float] | None = None
     for row_starts, row_ends, band_sizes, band_values in _iter_band_blocks(profile):
-        if stacked:
+        if engine == "fast":
             # The whole block solved in one stacked call; zero-size cells
             # are ignored by the batched solvers exactly as the per-band
             # compaction ignores them, and the returned indices already
@@ -336,7 +318,6 @@ def _best_rectangle(
                     min_support,
                     min_confidence,
                     profile.total,
-                    engine,
                 )
                 for band in range(band_sizes.shape[0])
             ]

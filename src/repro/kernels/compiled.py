@@ -15,16 +15,11 @@ bit-for-bit by the randomized oracles in ``tests/kernels``:
 * the counting kernels accumulate in tuple order, which is precisely the
   accumulation order of a (weighted) ``np.bincount``, so even the float
   sums of the §5 average operator are bit-identical.
-* the stacked solvers enumerate (start, end) pairs in the row-major
-  upper-triangle order of ``np.triu_indices`` and apply the same
-  lexicographic tie-break (max ratio / max count, then max count, then
-  smallest start), so the winning *indices* — not just the winning values —
-  match the NumPy tier.
 
 Parallelism (``prange``) is used only where iterations are independent:
-across tuples for assignment, across masks for conditional counts, and
-across rows for the stacked solvers.  The per-bucket scatter updates stay
-sequential per task, so no kernel ever races on an output cell.
+across tuples for assignment and across masks for conditional counts.  The
+per-bucket scatter updates stay sequential per task, so no kernel ever races
+on an output cell.
 """
 
 from __future__ import annotations
@@ -39,8 +34,6 @@ __all__ = [
     "masked_bucket_counts",
     "masked_bucket_value_bounds",
     "masked_counts_slots",
-    "maximize_ratio_many",
-    "maximize_support_many",
     "weighted_bucket_sums",
 ]
 
@@ -151,110 +144,3 @@ def masked_bucket_value_bounds(values, indices, mask, cells):
         if high != high or v > high:
             highs[bucket] = v
     return lows, highs
-
-
-@njit(cache=True, parallel=True)
-def maximize_ratio_many(sizes, values, min_counts):
-    """Per-row best (start, end) bucket range by ratio ``Σv / Σu``.
-
-    Enumerates pairs in the row-major upper-triangle order of
-    ``np.triu_indices`` with the NumPy tier's exact key: maximal ratio,
-    then maximal tuple count, then the first pair in enumeration order
-    (= smallest start).  Returns the *raw* winner indices (to be snapped
-    onto non-empty buckets by the caller) plus the winner's count and
-    objective; ``start == -1`` marks an infeasible row.
-    """
-    num_rows, num_buckets = sizes.shape
-    winner_start = np.full(num_rows, -1, dtype=np.int64)
-    winner_end = np.full(num_rows, -1, dtype=np.int64)
-    winner_count = np.zeros(num_rows, dtype=np.float64)
-    winner_value = np.zeros(num_rows, dtype=np.float64)
-    for row in prange(num_rows):
-        prefix_sizes = np.empty(num_buckets + 1, dtype=np.float64)
-        prefix_values = np.empty(num_buckets + 1, dtype=np.float64)
-        prefix_sizes[0] = 0.0
-        prefix_values[0] = 0.0
-        for i in range(num_buckets):
-            prefix_sizes[i + 1] = prefix_sizes[i] + sizes[row, i]
-            prefix_values[i + 1] = prefix_values[i] + values[row, i]
-        min_count = min_counts[row]
-        best_ratio = -np.inf
-        best_count = -np.inf
-        best_start = -1
-        best_end = -1
-        for start in range(num_buckets):
-            base_size = prefix_sizes[start]
-            base_value = prefix_values[start]
-            for end in range(start, num_buckets):
-                u = prefix_sizes[end + 1] - base_size
-                if u < min_count or u <= 0.0:
-                    continue
-                ratio = (prefix_values[end + 1] - base_value) / u
-                if ratio > best_ratio:
-                    best_ratio = ratio
-                    best_count = u
-                    best_start = start
-                    best_end = end
-                elif ratio == best_ratio and u > best_count:
-                    best_count = u
-                    best_start = start
-                    best_end = end
-        winner_start[row] = best_start
-        winner_end[row] = best_end
-        if best_start >= 0:
-            winner_count[row] = prefix_sizes[best_end + 1] - prefix_sizes[best_start]
-            winner_value[row] = (
-                prefix_values[best_end + 1] - prefix_values[best_start]
-            )
-    return winner_start, winner_end, winner_count, winner_value
-
-
-@njit(cache=True, parallel=True)
-def maximize_support_many(sizes, values, min_ratio):
-    """Per-row widest range with average gain ``>= min_ratio``.
-
-    Replays the NumPy tier's cumulative-gain sweep: ``F`` is the running
-    gain sum, ``H`` its suffix maximum, and each start's furthest feasible
-    end is found by counting suffix entries below ``F[start]`` — the same
-    float comparisons as the batched broadcast, in an order-free reduction.
-    Returns the raw winner start and its exclusive prefix end pointer
-    (``start == -1`` marks an infeasible row); the caller snaps and scores.
-    """
-    num_rows, num_buckets = sizes.shape
-    winner_start = np.full(num_rows, -1, dtype=np.int64)
-    winner_end_pointer = np.full(num_rows, -1, dtype=np.int64)
-    for row in prange(num_rows):
-        gain = np.empty(num_buckets + 1, dtype=np.float64)
-        prefix_sizes = np.empty(num_buckets + 1, dtype=np.float64)
-        gain[0] = 0.0
-        prefix_sizes[0] = 0.0
-        for i in range(num_buckets):
-            gain[i + 1] = gain[i] + (values[row, i] - min_ratio * sizes[row, i])
-            prefix_sizes[i + 1] = prefix_sizes[i] + sizes[row, i]
-        suffix_maximum = np.empty(num_buckets + 1, dtype=np.float64)
-        suffix_maximum[num_buckets] = gain[num_buckets]
-        for k in range(num_buckets - 1, -1, -1):
-            later = suffix_maximum[k + 1]
-            suffix_maximum[k] = gain[k] if gain[k] > later else later
-        best_count = -np.inf
-        best_start = -1
-        best_end_pointer = -1
-        for start in range(num_buckets):
-            threshold = gain[start]
-            below = 0
-            for k in range(num_buckets + 1):
-                if suffix_maximum[k] < threshold:
-                    below += 1
-            end_pointer = num_buckets - below
-            if end_pointer < start + 1:
-                continue
-            count = prefix_sizes[end_pointer] - prefix_sizes[start]
-            if count <= 0.0:
-                continue
-            if count > best_count:
-                best_count = count
-                best_start = start
-                best_end_pointer = end_pointer
-        winner_start[row] = best_start
-        winner_end_pointer[row] = best_end_pointer
-    return winner_start, winner_end_pointer

@@ -152,7 +152,7 @@ class TestMaximizeSupportMany:
         sizes, values = _random_stack(rng)
         expected_support = fast_maximize_support_many(sizes, values, 0.5)
         expected_ratio = fast_maximize_ratio_many(sizes, values, 2.0)
-        monkeypatch.setattr(fastpath, "_PAIR_TENSOR_ELEMENTS", 1)
+        monkeypatch.setattr(fastpath, "_SOLVE_BLOCK_POINTS", 1)
         assert [
             _key(selection)
             for selection in fast_maximize_support_many(sizes, values, 0.5)
@@ -161,3 +161,130 @@ class TestMaximizeSupportMany:
             _key(selection)
             for selection in fast_maximize_ratio_many(sizes, values, 2.0)
         ] == [_key(selection) for selection in expected_ratio]
+
+
+def _integer_stack(
+    rng: np.random.Generator, rows: int, buckets: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Catalog-shaped integer profiles: ~equi-depth sizes, drifting rates."""
+    sizes = rng.integers(1, 200, size=(rows, buckets)).astype(np.float64)
+    rates = np.clip(
+        rng.random((rows, 1)) + 0.3 * rng.standard_normal((rows, buckets)), 0, 1
+    )
+    values = rng.binomial(sizes.astype(np.int64), rates).astype(np.float64)
+    return sizes, values
+
+
+def _assert_rows_match_oracles(sizes, values, min_counts) -> None:
+    """Every stacked row equals the scalar fast sweep and Algorithm 4.2."""
+    selections = fast_maximize_ratio_many(sizes, values, min_counts)
+    min_counts = np.broadcast_to(min_counts, (sizes.shape[0],))
+    for row, selection in enumerate(selections):
+        total = float(sizes[row].sum())
+        args = (sizes[row], values[row], float(min_counts[row]), total)
+        assert _key(selection) == _key(fast_maximize_ratio(*args))
+        assert _key(selection) == _key(maximize_ratio_reference(*args))
+
+
+class TestWideRowOracle:
+    """Catalog-width rows: the parametric sweep against both scalar solvers."""
+
+    @pytest.mark.parametrize("buckets", [200, 1000, 1500])
+    def test_wide_integer_rows(self, buckets: int) -> None:
+        rng = np.random.default_rng(buckets)
+        sizes, values = _integer_stack(rng, 6, buckets)
+        fractions = np.array([0.0, 0.01, 0.05, 0.1, 0.5, 0.9])
+        _assert_rows_match_oracles(sizes, values, fractions * sizes.sum(axis=1))
+
+    def test_wide_rows_with_empty_buckets_match_compacted_rows(self) -> None:
+        rng = np.random.default_rng(5)
+        sizes, values = _integer_stack(rng, 5, 1000)
+        empty = rng.random(sizes.shape) < 0.3
+        sizes[empty] = 0.0
+        values[empty] = 0.0
+        min_count = 0.1 * float(sizes.sum(axis=1).min())
+        selections = fast_maximize_ratio_many(sizes, values, min_count)
+        for row, selection in enumerate(selections):
+            kept = np.flatnonzero(sizes[row] > 0)
+            compact = fast_maximize_ratio(
+                sizes[row][kept], values[row][kept], min_count,
+                float(sizes[row].sum()),
+            )
+            assert _mapped_key(compact, kept) == _key(selection)
+
+    def test_tie_heavy_rows(self) -> None:
+        rng = np.random.default_rng(17)
+        buckets = 300
+        sizes = np.full((6, buckets), 4.0)
+        values = np.stack(
+            [
+                np.full(buckets, 2.0),  # every range has the same ratio
+                np.zeros(buckets),  # every range has ratio zero
+                sizes[2],  # every range is fully confident
+                np.tile([4.0, 0.0], buckets // 2),  # alternating 1, 0
+                np.tile([4.0, 4.0, 0.0], buckets // 3),  # many equal-ratio runs
+                rng.integers(0, 2, buckets) * 4.0,  # random 0/1 buckets
+            ]
+        )
+        for fraction in (0.0, 0.01, 0.2, 1.0):
+            _assert_rows_match_oracles(
+                sizes, values, fraction * sizes.sum(axis=1)
+            )
+
+    def test_small_tie_heavy_integer_stacks(self) -> None:
+        rng = np.random.default_rng(99)
+        for _ in range(300):
+            rows, buckets = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+            sizes = rng.integers(1, 4, size=(rows, buckets)).astype(np.float64)
+            values = np.round(sizes * rng.choice([0.0, 0.5, 1.0], size=sizes.shape))
+            min_counts = rng.integers(0, 3 * buckets, size=rows).astype(np.float64)
+            _assert_rows_match_oracles(sizes, values, min_counts)
+
+    def test_min_support_of_zero_and_of_the_row_total(self) -> None:
+        rng = np.random.default_rng(23)
+        sizes, values = _integer_stack(rng, 4, 1000)
+        totals = sizes.sum(axis=1)
+        min_counts = np.array([0.0, totals[1], 0.0, totals[3]])
+        _assert_rows_match_oracles(sizes, values, min_counts)
+        selections = fast_maximize_ratio_many(sizes, values, min_counts)
+        for row in (1, 3):  # only the whole row reaches its own total
+            assert (selections[row].start, selections[row].end) == (0, 999)
+
+    def test_infeasible_rows_return_none(self) -> None:
+        rng = np.random.default_rng(29)
+        sizes, values = _integer_stack(rng, 4, 1000)
+        sizes[2] = 0.0
+        values[2] = 0.0
+        totals = sizes.sum(axis=1)
+        min_counts = np.array([totals[0] + 1, 0.5 * totals[1], 1.0, totals[3] + 0.5])
+        selections = fast_maximize_ratio_many(sizes, values, min_counts)
+        assert selections[0] is None
+        assert selections[1] is not None
+        assert selections[2] is None  # no tuple at all
+        assert selections[3] is None
+
+    def test_per_row_min_ratio_support_rows(self) -> None:
+        rng = np.random.default_rng(31)
+        sizes, values = _integer_stack(rng, 5, 1000)
+        ratios = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        selections = fast_maximize_support_many(sizes, values, ratios)
+        for row, selection in enumerate(selections):
+            total = float(sizes[row].sum())
+            args = (sizes[row], values[row], float(ratios[row]), total)
+            assert _key(selection) == _key(fast_maximize_support(*args))
+            assert _key(selection) == _key(maximize_support_reference(*args))
+
+    def test_real_valued_rows_stay_ample_and_optimal(self) -> None:
+        # Outside the exact-product envelope no range may have exactly zero
+        # gain at the final ratio; the sweep must still return its best
+        # ample range, whose ratio matches the scalar sweep's.
+        rng = np.random.default_rng(41)
+        sizes = rng.random((40, 150)) * 1e3
+        values = rng.standard_normal((40, 150)) * 1e6
+        min_counts = rng.random(40) * 0.5 * sizes.sum(axis=1)
+        selections = fast_maximize_ratio_many(sizes, values, min_counts)
+        for row, selection in enumerate(selections):
+            scalar = fast_maximize_ratio(sizes[row], values[row], min_counts[row])
+            assert selection.end >= selection.start
+            assert selection.support_count >= min_counts[row]
+            assert selection.ratio == pytest.approx(scalar.ratio, rel=1e-9)

@@ -6,10 +6,19 @@ import numpy as np
 import pytest
 
 from repro.bucketing import SortingEquiDepthBucketizer
-from repro.core import MiningSettings, OptimizedRuleMiner, RuleKind
+from repro.core import (
+    MiningSettings,
+    MiningTask,
+    OptimizedRuleMiner,
+    RuleKind,
+    maximum_average_range,
+    maximum_support_range,
+    solve_optimized_confidence,
+    solve_optimized_support,
+)
 from repro.datasets import bank_customers, planted_range_relation
 from repro.exceptions import OptimizationError, SchemaError
-from repro.relation import BooleanIs, Relation
+from repro.relation import BooleanIs, NumericInRange, Relation
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +179,113 @@ class TestBulkMining:
         )
         assert len(rules) == 1
         assert rules[0].attribute == "balance"
+
+
+def _mixed_catalog() -> list[MiningTask]:
+    """Confidence, support, §4.3 presumptive and §5 average tasks whose
+    profiles have unequal bucket counts (age has few distinct values, and
+    presumptive profiles drop their empty buckets)."""
+    tasks = []
+    for attribute in ("balance", "age"):
+        for objective in ("card_loan", "online_banking"):
+            tasks.append(MiningTask(attribute, objective, threshold=0.08))
+            tasks.append(
+                MiningTask(attribute, objective, RuleKind.OPTIMIZED_SUPPORT, 0.3)
+            )
+            tasks.append(
+                MiningTask(
+                    attribute, objective, threshold=0.02,
+                    presumptive=BooleanIs("auto_withdrawal"),
+                )
+            )
+            tasks.append(
+                MiningTask(
+                    attribute, objective, RuleKind.OPTIMIZED_SUPPORT, 0.5,
+                    presumptive=NumericInRange("saving_balance", 15_000.0, 1e6),
+                )
+            )
+        tasks.append(MiningTask(attribute, "saving_balance", RuleKind.MAXIMUM_AVERAGE))
+        tasks.append(
+            MiningTask(
+                attribute, "saving_balance", RuleKind.MAXIMUM_SUPPORT_AVERAGE, 2000.0
+            )
+        )
+    tasks.append(MiningTask("balance", "card_loan", threshold=0.0))
+    tasks.append(MiningTask("balance", "card_loan", threshold=1.0))
+    tasks.append(MiningTask("balance", "card_loan", RuleKind.OPTIMIZED_SUPPORT, 1.0))
+    return tasks
+
+
+def _scalar_loop(miner, tasks, settings) -> list:
+    """The per-task reference for ``solve_many``: one solver call per task."""
+    solvers = {
+        RuleKind.OPTIMIZED_CONFIDENCE: solve_optimized_confidence,
+        RuleKind.OPTIMIZED_SUPPORT: solve_optimized_support,
+        RuleKind.MAXIMUM_AVERAGE: maximum_average_range,
+        RuleKind.MAXIMUM_SUPPORT_AVERAGE: maximum_support_range,
+    }
+    return [
+        solvers[task.kind](
+            miner._task_profile(task), miner._task_threshold(task, settings)
+        )
+        for task in tasks
+    ]
+
+
+class TestStackedSolveMany:
+    @pytest.fixture(scope="class")
+    def bank(self) -> Relation:
+        relation, _ = bank_customers(12_000, seed=8)
+        return relation
+
+    def test_stacked_equals_per_task_loop(self, bank: Relation) -> None:
+        settings = MiningSettings()
+        tasks = _mixed_catalog()
+        miner = OptimizedRuleMiner(bank, num_buckets=150, rng=np.random.default_rng(3))
+        stacked = miner.solve_many(tasks, settings)
+        widths = {miner._task_profile(task).num_buckets for task in tasks}
+        assert len(widths) > 2  # the catalog really stacks unequal M
+        assert stacked == _scalar_loop(miner, tasks, settings)
+        assert any(selection is None for selection in stacked)
+        reference = OptimizedRuleMiner(
+            bank, num_buckets=150, rng=np.random.default_rng(3), engine="reference"
+        )
+        assert reference.solve_many(tasks, settings) == stacked
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            MiningTask("balance", "card_loan", threshold=1.5),
+            MiningTask("balance", "card_loan", threshold=-0.1),
+            MiningTask("balance", "card_loan", threshold=float("nan")),
+            MiningTask("age", "card_loan", RuleKind.OPTIMIZED_SUPPORT, 0.0),
+            MiningTask("age", "card_loan", RuleKind.OPTIMIZED_SUPPORT, float("nan")),
+            MiningTask("age", "saving_balance", RuleKind.MAXIMUM_AVERAGE, 2.0),
+            MiningTask(
+                "age", "saving_balance", RuleKind.MAXIMUM_SUPPORT_AVERAGE, float("inf")
+            ),
+        ],
+    )
+    def test_bad_threshold_raises_the_scalar_error_before_solving(
+        self, bank: Relation, bad: MiningTask, monkeypatch
+    ) -> None:
+        import repro.core.miner as miner_module
+
+        settings = MiningSettings()
+        miner = OptimizedRuleMiner(bank, num_buckets=60, rng=np.random.default_rng(4))
+        with pytest.raises(OptimizationError) as scalar:
+            _scalar_loop(miner, [bad], settings)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a stack was solved before the thresholds were checked")
+
+        monkeypatch.setattr(miner_module, "fast_maximize_ratio_many", never)
+        monkeypatch.setattr(miner_module, "fast_maximize_support_many", never)
+        # The bad task sits after valid tasks of every stacked kind, and
+        # before a later bad task of another kind: the first one in task
+        # order decides the error.
+        later_bad = MiningTask("balance", "online_banking", threshold=7.0)
+        tasks = _mixed_catalog()[:4] + [bad, later_bad]
+        with pytest.raises(OptimizationError) as stacked:
+            miner.solve_many(tasks, settings)
+        assert str(stacked.value) == str(scalar.value)

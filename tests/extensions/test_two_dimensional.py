@@ -293,28 +293,23 @@ class TestBruteForceOracle:
         assert key(fast) == brute
 
 
-class TestWideBandDispatch:
+class TestWideGrid:
     @pytest.mark.parametrize("kind", [RuleKind.OPTIMIZED_CONFIDENCE, RuleKind.OPTIMIZED_SUPPORT])
-    def test_scalar_fallback_equals_stacked_and_reference(
-        self, planted_2d_relation: Relation, kind: RuleKind, monkeypatch
+    def test_wider_than_192_columns_equals_reference(
+        self, planted_2d_relation: Relation, kind: RuleKind
     ) -> None:
-        """Past the width threshold the fast engine dispatches per band —
-        still bit-identical to the stacked solve and to the oracle."""
-        import repro.extensions.two_dimensional as two_dimensional
-
-        kwargs = dict(kind=kind, min_support=0.05, min_confidence=0.6, grid=(9, 13))
+        """A grid past the old scalar-band width threshold stays on the
+        stacked solvers and is still bit-identical to the per-band oracle."""
+        kwargs = dict(kind=kind, min_support=0.05, min_confidence=0.6, grid=(6, 240))
         stacked = mine_rectangle_rule(
-            planted_2d_relation, "age", "balance", BooleanIs("card_loan"), **kwargs
-        )
-        monkeypatch.setattr(two_dimensional, "_WIDE_BAND_COLUMNS", 4)
-        per_band = mine_rectangle_rule(
             planted_2d_relation, "age", "balance", BooleanIs("card_loan"), **kwargs
         )
         reference = mine_rectangle_rule(
             planted_2d_relation, "age", "balance", BooleanIs("card_loan"),
             engine="reference", **kwargs,
         )
-        assert stacked == per_band == reference
+        assert stacked is not None
+        assert stacked == reference
 
 
 class TestBandBlocking:

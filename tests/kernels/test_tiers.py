@@ -3,10 +3,10 @@
 The tier resolver is pure policy (keyword > ``REPRO_KERNEL_TIER`` > auto)
 and is tested exhaustively on every machine.  The parity oracles — the
 contract that the compiled tier is **bit-identical** to the numpy tier on
-the fused counting kernel and the stacked solvers — run wherever numba is
-installed and skip (never fail) elsewhere; the numpy-only assertions of the
-same scenarios still run so a fallback environment exercises every code
-path short of the compiled loops themselves.
+the fused counting kernel — run wherever numba is installed and skip (never
+fail) elsewhere; the numpy-only assertions of the same scenarios still run
+so a fallback environment exercises every code path short of the compiled
+loops themselves.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ from repro.bucketing.counting import (
     KernelPlan,
     ValueSegment,
     count_plan_chunk,
-)
-from repro.core.fastpath import (
-    fast_maximize_ratio_many,
-    fast_maximize_support_many,
 )
 from repro.exceptions import KernelError
 from repro.kernels import (
@@ -256,59 +252,6 @@ class TestCompiledCountingParity:
                 kernels.assign_buckets(values, bucketing.cuts),
                 bucketing.assign(values),
             )
-
-
-@needs_numba
-class TestCompiledSolverParity:
-    """Randomized bit-parity oracle: compiled == numpy stacked solvers."""
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_maximize_ratio_many(self, seed: int) -> None:
-        rng = np.random.default_rng(seed)
-        rows, buckets = 17, 23
-        sizes = rng.integers(0, 40, size=(rows, buckets)).astype(float)
-        values = np.minimum(
-            rng.integers(0, 40, size=(rows, buckets)).astype(float), sizes
-        )
-        minc = float(rng.integers(1, 50))
-        baseline = fast_maximize_ratio_many(
-            sizes, values, minc, kernel_tier="numpy"
-        )
-        compiled = fast_maximize_ratio_many(
-            sizes, values, minc, kernel_tier="compiled"
-        )
-        assert len(baseline) == len(compiled)
-        for ours, theirs in zip(compiled, baseline):
-            assert (ours is None) == (theirs is None)
-            if ours is not None:
-                assert ours.start == theirs.start
-                assert ours.end == theirs.end
-                assert ours.support_count == theirs.support_count
-                assert ours.objective_value == theirs.objective_value
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_maximize_support_many(self, seed: int) -> None:
-        rng = np.random.default_rng(100 + seed)
-        rows, buckets = 13, 31
-        sizes = rng.integers(0, 40, size=(rows, buckets)).astype(float)
-        values = np.minimum(
-            rng.integers(0, 40, size=(rows, buckets)).astype(float), sizes
-        )
-        ratio = float(rng.uniform(0.1, 0.9))
-        baseline = fast_maximize_support_many(
-            sizes, values, ratio, kernel_tier="numpy"
-        )
-        compiled = fast_maximize_support_many(
-            sizes, values, ratio, kernel_tier="compiled"
-        )
-        assert len(baseline) == len(compiled)
-        for ours, theirs in zip(compiled, baseline):
-            assert (ours is None) == (theirs is None)
-            if ours is not None:
-                assert ours.start == theirs.start
-                assert ours.end == theirs.end
-                assert ours.support_count == theirs.support_count
-                assert ours.objective_value == theirs.objective_value
 
 
 @needs_numba
