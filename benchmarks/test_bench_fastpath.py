@@ -54,7 +54,7 @@ from repro.core import (
 )
 from repro.datasets import paper_benchmark_table, planted_profile
 from repro.experiments import bench_workload, throughput_workload, time_call, write_bench_json
-from repro.kernels import HAVE_NUMBA, resolve_kernel_tier
+from repro.kernels import resolve_kernel_tier
 from repro.mining import mine_rule_catalog
 from repro.pipeline import (
     ChunkedSource,
@@ -106,19 +106,12 @@ MIN_STORE_WARM_SPEEDUP = 20.0
 # measure the store rather than fixed overheads.
 QUICK_STORE_ROWS = 100_000
 
-# Floor asserted on the compiled kernel tier when numba is available: the
-# fused chunk-counting kernel, compiled, must beat the NumPy tier by at
-# least this factor on the default-size plan.  Without numba the gate is
-# skipped (not failed) and the NumPy-tier numbers are still recorded, so
-# the BENCH history always carries a per-tier throughput row.
-MIN_COMPILED_KERNEL_SPEEDUP = 3.0
-
 # Floor asserted on the zero-copy columnar streaming catalog: mining the
 # whole numeric x Boolean catalog end to end from a memory-mapped ``.npy``
 # column directory.  The pure-NumPy tier clears this on its own (observed
 # ~174k tuples/s vs ~69k on the parsed-CSV path — no tokenizing, no dtype
 # conversion, chunks are views into the mapped files), so the gate holds on
-# every matrix leg; the compiled tier only raises the margin.
+# every matrix leg.
 MIN_COLUMNAR_TUPLES_PER_SECOND = 150_000
 
 # Smoke floor for --quick CI runs of the columnar workload (runner noise
@@ -465,7 +458,7 @@ def _bench_kernel_plan(relation, num_buckets):
     mask slot shared by all value segments, plus one 32x32 2-D grid
     segment on its own coarse axes (the §1.4 grid granularity — gridding
     the full M-bucket axes would swamp the 1-D timing) — so a single
-    :func:`count_plan_chunk` call exercises the assignment, offset-encoded
+    :func:`count_plan_chunk` call exercises the assignment, bit-sliced
     bincount, bounds, and grid kernels exactly as the streaming planner
     drives them, with no source or executor overhead in the timed region.
     """
@@ -496,36 +489,21 @@ def _bench_kernel_plan(relation, num_buckets):
     return KernelPlan(axes=axes, segments=segments), (columns, masks, None)
 
 
-def _assert_plan_counts_identical(left, right) -> None:
-    """Bit-exact equality of two plan partials (nan-aware on the bounds)."""
-    left_state, right_state = left.to_state(), right.to_state()
-    assert left_state.keys() == right_state.keys()
-    for key, array in left_state.items():
-        other = right_state[key]
-        equal_nan = np.issubdtype(np.asarray(array).dtype, np.floating)
-        assert np.array_equal(array, other, equal_nan=equal_nan), key
-
-
 def test_bench_kernel_tiers(
-    catalog_relation, sizes, bench_results, record_report, quick
+    catalog_relation, sizes, bench_results, record_report
 ) -> None:
-    """Fused counting kernel per tier, and the stacked solvers, in isolation.
+    """The fused counting kernel and the stacked solvers, in isolation.
 
-    Two rows go into the BENCH history.  ``bench_kernels`` is the micro
-    record — tuples/s of the fused chunk-counting kernel per tier and wall
-    time of the (NumPy-only) stacked ratio/support solvers — so the
-    end-to-end numbers stay attributable to individual kernels.
-    ``kernel-tier`` is the gate row: when numba is importable the compiled
-    counting kernel must beat the NumPy tier by
-    ``MIN_COMPILED_KERNEL_SPEEDUP`` and must reproduce its counts bit for
-    bit; without numba the gate skips and the row still records the
-    NumPy-tier throughput, so every environment leaves a comparable trace.
+    One ``bench_kernels`` row goes into the BENCH history — tuples/s of the
+    fused chunk-counting kernel and wall time of the stacked ratio/support
+    solvers — so the end-to-end numbers stay attributable to individual
+    kernels.
     """
     num_tuples = sizes["num_tuples"]
     num_buckets = sizes["num_buckets"]
     plan, payload = _bench_kernel_plan(catalog_relation, num_buckets)
 
-    numpy_seconds = time_call(lambda: count_plan_chunk(plan, payload, tier="numpy"))
+    numpy_seconds = time_call(lambda: count_plan_chunk(plan, payload))
 
     profiles = [
         planted_profile(num_buckets, bucket_size=100, seed=seed) for seed in range(40)
@@ -541,65 +519,24 @@ def test_bench_kernel_tiers(
         lambda: fast_maximize_support_many(stacked_sizes, stacked_values, 0.5)
     )
 
-    micro_params = {
-        "have_numba": HAVE_NUMBA,
-        "num_buckets": num_buckets,
-        "segments": len(plan.segments),
-        "masks": int(payload[1].shape[0]),
-        "solver_profiles": len(profiles),
-        "counting_numpy_tuples_per_second": num_tuples / numpy_seconds,
-        "ratio_solver_numpy_seconds": ratio_numpy,
-        "support_solver_numpy_seconds": support_numpy,
-    }
-
-    compiled_seconds = None
-    if HAVE_NUMBA:
-        # Warm the JIT caches outside the timed region, then hold the
-        # compiled tier to bit-parity with the NumPy tier on the real plan
-        # before trusting its timings.
-        count_plan_chunk(plan, payload, tier="compiled")
-        compiled_seconds = time_call(
-            lambda: count_plan_chunk(plan, payload, tier="compiled")
-        )
-        _assert_plan_counts_identical(
-            count_plan_chunk(plan, payload, tier="compiled"),
-            count_plan_chunk(plan, payload, tier="numpy"),
-        )
-        micro_params["counting_compiled_tuples_per_second"] = (
-            num_tuples / compiled_seconds
-        )
-
     micro_row = throughput_workload(
-        "bench_kernels", numpy_seconds, num_tuples, **micro_params
-    )
-    gate_row = throughput_workload(
-        "kernel-tier",
-        compiled_seconds if HAVE_NUMBA else numpy_seconds,
+        "bench_kernels",
+        numpy_seconds,
         num_tuples,
-        old_seconds=numpy_seconds if HAVE_NUMBA else None,
-        tier="compiled" if HAVE_NUMBA else "numpy",
-        have_numba=HAVE_NUMBA,
         num_buckets=num_buckets,
+        segments=len(plan.segments),
+        masks=int(payload[1].shape[0]),
+        solver_profiles=len(profiles),
+        counting_numpy_tuples_per_second=num_tuples / numpy_seconds,
+        ratio_solver_numpy_seconds=ratio_numpy,
+        support_solver_numpy_seconds=support_numpy,
     )
-    bench_results.extend([micro_row, gate_row])
-
-    if HAVE_NUMBA:
-        summary = (
-            f"fused counting {num_tuples} tuples x {num_buckets} buckets: numpy "
-            f"{numpy_seconds:.3f}s, compiled {compiled_seconds:.3f}s "
-            f"({gate_row['speedup']:.1f}x)"
-        )
-    else:
-        summary = (
-            f"fused counting {num_tuples} tuples x {num_buckets} buckets: numpy "
-            f"{numpy_seconds:.3f}s "
-            f"({micro_params['counting_numpy_tuples_per_second']:,.0f} tuples/s); "
-            "numba absent, compiled gate skipped"
-        )
-    record_report("Kernel tier benchmark", summary)
-
-    if HAVE_NUMBA and not quick:
-        assert gate_row["speedup"] >= MIN_COMPILED_KERNEL_SPEEDUP
+    bench_results.append(micro_row)
+    record_report(
+        "Kernel benchmark",
+        f"fused counting {num_tuples} tuples x {num_buckets} buckets: "
+        f"{numpy_seconds:.3f}s ({num_tuples / numpy_seconds:,.0f} tuples/s)",
+    )
 
 
 def test_bench_columnar_streaming(
@@ -1486,7 +1423,6 @@ def _write_bench_file(bench_results, quick, sizes):
             metadata={
                 "mode": "default",
                 "kernel_tier": resolve_kernel_tier(None),
-                "have_numba": HAVE_NUMBA,
                 **sizes,
             },
         )

@@ -11,10 +11,6 @@ bit-identical — the columnar source satisfies the same fingerprint /
 ``scan_tail`` contract as the CSV source, so it also serves
 :class:`~repro.store.ProfileStore` warm hits and incremental appends.
 
-The kernel tier underneath is selected independently of the source
-(``kernel_tier="auto"`` uses the compiled numba kernels when available and
-the pure-NumPy tier otherwise; both produce bit-identical profiles).
-
 Run with:  python examples/columnar.py
 """
 
@@ -27,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from repro import CSVSource, datasets
-from repro.kernels import HAVE_NUMBA, resolve_kernel_tier
 from repro.mining import mine_rule_catalog
 from repro.pipeline import NpyDirectorySource, write_columnar
 from repro.relation import read_csv, write_csv
@@ -38,9 +33,6 @@ NUM_TUPLES = 200_000
 
 
 def main() -> None:
-    tier = resolve_kernel_tier(None)
-    print(f"kernel tier: {tier} (numba {'available' if HAVE_NUMBA else 'absent'})")
-
     with tempfile.TemporaryDirectory() as workdir:
         root = Path(workdir)
         csv_path = root / "bank.csv"

@@ -62,7 +62,7 @@ from repro.exceptions import (
     SchemaError,
     StoreError,
 )
-from repro.kernels import HAVE_NUMBA, KERNEL_TIERS, resolve_kernel_tier
+from repro.kernels import KERNEL_TIERS, resolve_kernel_tier
 from repro.pipeline import (
     ChunkedSource,
     CSVSource,
@@ -142,7 +142,6 @@ __all__ = [
     "ParquetSource",
     "write_columnar",
     # kernel tiers
-    "HAVE_NUMBA",
     "KERNEL_TIERS",
     "resolve_kernel_tier",
     # exceptions

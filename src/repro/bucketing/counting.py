@@ -9,24 +9,21 @@ value-level :class:`repro.bucketing.Bucketing` primitives.
 Batched counting
 ----------------
 The catalog workload of §1.3 evaluates *many* objective conditions against
-the same numeric attribute.  Re-scanning the relation per condition (one
-``searchsorted`` assignment pass each) wastes almost all of its time
-repeating identical work, so the batched entry points here perform the
-bucket assignment exactly once and answer every condition from it:
+the same numeric attribute, so the bucket assignment runs exactly once and
+every condition is answered from it by one bit-sliced kernel,
+:func:`masked_bucket_counts`.  Following the bit-sliced indexes of O'Neil &
+Quass (SIGMOD 1997), the condition masks are packed four at a time into
+4-bit codes (``code = Σ_j mask[4g + j] << j``), ``np.bincount`` over the
+key ``group·cells·16 + bucket·16 + code`` (one call per cache-sized batch of
+groups) histograms every (bucket, code) pair of every group, and a product
+with the ``(16, 4)`` bit matrix decodes the histogram into per-condition
+counts.  The counts are integers far below
+2**53, so the float decode is exact.  :func:`count_many` and
+:func:`count_conditions` are thin relation-level wrappers over it.
 
-* :func:`count_many` — one assignment pass, one sort for the data bounds,
-  then one ``np.bincount`` per condition over the pre-assigned indices;
-* :func:`masked_bucket_counts` — the underlying mask-matrix kernel: stacks
-  the condition masks into a ``(num_conditions, num_tuples)`` Boolean
-  matrix, offsets each row's bucket indices into its own ``num_buckets``
-  window, and counts all conditions with a single flat ``np.bincount``
-  (chunked so the temporary index matrix stays bounded).
-
-Parity guarantee: the batched counts are produced by the same
-``searchsorted`` + ``bincount`` primitives as the per-condition path, so
-``count_many`` returns arrays equal to calling :func:`count_relation_buckets`
-once per condition — the tests in ``tests/bucketing/test_counting.py``
-assert exact equality.
+Parity guarantee: row ``c`` of :func:`masked_bucket_counts` equals
+``np.bincount(indices[masks[c]], minlength=num_buckets)``; the oracle tests
+in ``tests/bucketing/test_counting.py`` assert exact equality.
 
 Chunk kernel
 ------------
@@ -40,20 +37,22 @@ Grid kernel
 :func:`count_grid_chunk` is the two-dimensional analogue for the §1.4
 rectangle extension: both attributes are assigned in one pass each, the cell
 index ``row * C + column`` flattens the ``R × C`` grid, and a single
-``bincount`` (plus the mask-matrix kernel for objectives) produces the
+``bincount`` (plus the bit-sliced kernel for objectives) produces the
 per-cell ``u_ij`` / ``v_ij`` counts as :class:`GridChunkCounts` partials —
 merged by the same executors that drive the 1-D pipeline.
 
 Fused plan kernel
 -----------------
 :func:`count_plan_chunk` generalizes both chunk kernels to a whole
-:class:`KernelPlan` — every (attribute, bucketing) axis of a scan plan
-assigned exactly once per chunk, all 1-D *and* flattened 2-D
-``(segment × condition)`` cells answered through offset-encoded flat
-``bincount``\\ s, and all §5 bucket sums through one flat weighted
-``bincount``.  :func:`count_value_chunk` and :func:`count_grid_chunk` are
-now one-segment plans over this kernel, which is what makes fused scans
-bit-identical to per-request scans by construction.
+:class:`KernelPlan`.  Per chunk it checks the payload's shape once, assigns
+every (attribute, bucketing) axis exactly once, packs each distinct set of
+condition rows into 4-bit codes once (every segment asking for the same
+conditions shares the packing), and answers every ``(segment, condition)``
+cell — 1-D buckets and flattened 2-D grids alike — with the bit-sliced
+``bincount``\\ s of :func:`masked_bucket_counts`.  All §5 bucket sums go
+through one flat weighted ``bincount``.  :func:`count_value_chunk` and
+:func:`count_grid_chunk` are one-segment plans over this kernel, which is
+what makes fused scans bit-identical to per-request scans by construction.
 """
 
 from __future__ import annotations
@@ -66,8 +65,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.bucketing.base import Bucketing
-from repro.exceptions import BucketingError, KernelError
-from repro.kernels import load_compiled
+from repro.exceptions import BucketingError
 from repro.relation.conditions import Condition
 from repro.relation.relation import Relation
 
@@ -90,12 +88,29 @@ __all__ = [
     "plan_state_checksum",
 ]
 
-#: Default upper bound on the number of elements of the temporary offset-index
-#: matrix built per chunk by the mask-matrix kernel (~64 MB of int64 at 8e6
-#: entries, half that when the int32 window applies).  Tunable per call via
+#: Default upper bound on the elements of the temporaries one batch of the
+#: counting kernels builds — the key matrix plus its histogram (~64 MB of
+#: int64 at 8e6 entries, half that for int32 keys).  Tunable per call via
 #: the ``chunk_elements`` keyword or process-wide via the
 #: ``REPRO_MASK_MATRIX_CHUNK_ELEMENTS`` environment variable.
 _MASK_MATRIX_CHUNK_ELEMENTS = 8_000_000
+
+#: Condition rows packed into one code of the bit-sliced kernel.  Four bits
+#: give 16 histogram slots per cell: wider codes grow the histogram
+#: exponentially, narrower ones multiply the bincount passes.
+_NIBBLE_BITS = 4
+_NIBBLE_CODES = 1 << _NIBBLE_BITS
+
+#: Cap on the key-plus-histogram elements of one bit-sliced ``bincount``
+#: (256 KiB of int64).  A batch this small stays resident in a per-core L2
+#: cache: on a 2 MiB-L2 Xeon, one 4-row group per ``bincount`` (20k keys,
+#: 16k slots at M=1000) counted 2-3x faster than one chunk-wide batch.
+_NIBBLE_BATCH_ELEMENTS = 1 << 15
+
+#: ``(16, 4)`` decode matrix: entry ``[code, j]`` is bit ``j`` of ``code``.
+_NIBBLE_DECODE = (
+    (np.arange(_NIBBLE_CODES)[:, None] >> np.arange(_NIBBLE_BITS)) & 1
+).astype(np.float64)
 
 
 def _mask_matrix_chunk_elements(chunk_elements: int | None = None) -> int:
@@ -114,7 +129,7 @@ def _mask_matrix_chunk_elements(chunk_elements: int | None = None) -> int:
 
 
 def _offset_dtype(total_cells: int) -> type:
-    """Smallest index dtype for offset-encoded windows spanning ``total_cells``."""
+    """Smallest index dtype for keys spanning ``total_cells`` histogram slots."""
     return np.int32 if total_cells <= np.iinfo(np.int32).max else np.int64
 
 
@@ -167,6 +182,48 @@ class BucketCounts:
         return float(self.sizes.max() / ideal)
 
 
+def _pack_nibbles(masks: np.ndarray) -> np.ndarray:
+    """Pack Boolean mask rows into 4-bit codes, four rows per group.
+
+    Returns a ``(ceil(rows / 4), num_tuples)`` uint8 matrix with
+    ``code[g, n] = Σ_j masks[4g + j, n] << j``; the last group is zero-padded.
+    """
+    rows, num_tuples = masks.shape
+    codes = np.zeros((-(-rows // _NIBBLE_BITS), num_tuples), dtype=np.uint8)
+    bits = masks.view(np.uint8)
+    for bit in range(_NIBBLE_BITS):
+        plane = bits[bit::_NIBBLE_BITS]
+        codes[: plane.shape[0]] |= plane << bit
+    return codes
+
+
+def _nibble_counts(
+    indices: np.ndarray, codes: np.ndarray, rows: int, cells: int, budget: int
+) -> np.ndarray:
+    """Decode per-row cell counts from packed codes (see :func:`masked_bucket_counts`)."""
+    groups, num_tuples = codes.shape
+    counts = np.empty((groups * _NIBBLE_BITS, cells), dtype=np.int64)
+    span = cells * _NIBBLE_CODES
+    batch_elements = min(budget, _NIBBLE_BATCH_ELEMENTS)
+    batch = max(1, min(groups, batch_elements // max(1, num_tuples + span)))
+    dtype = _offset_dtype(batch * span)
+    offsets = (np.arange(batch, dtype=dtype) * dtype(span))[:, None]
+    keys_base = indices.astype(dtype) * dtype(_NIBBLE_CODES)
+    for begin in range(0, groups, batch):
+        stop = min(begin + batch, groups)
+        width = stop - begin
+        keys = offsets[:width] + keys_base
+        keys += codes[begin:stop]
+        histogram = np.bincount(keys.ravel(), minlength=width * span)
+        decoded = histogram.reshape(width * cells, _NIBBLE_CODES) @ _NIBBLE_DECODE
+        counts[begin * _NIBBLE_BITS : stop * _NIBBLE_BITS] = (
+            decoded.reshape(width, cells, _NIBBLE_BITS)
+            .transpose(0, 2, 1)
+            .reshape(width * _NIBBLE_BITS, cells)
+        )
+    return counts[:rows]
+
+
 def masked_bucket_counts(
     indices: np.ndarray,
     masks: np.ndarray,
@@ -178,14 +235,14 @@ def masked_bucket_counts(
     Parameters
     ----------
     indices:
-        Bucket index of every tuple (one assignment pass, shared by all
-        masks).
+        Bucket (or flattened grid-cell) index of every tuple — one
+        assignment pass, shared by all masks.
     masks:
         Boolean matrix of shape ``(num_masks, num_tuples)``.
     num_buckets:
-        Number of buckets ``M``.
+        Number of cells ``M`` the indices range over.
     chunk_elements:
-        Upper bound on the elements of the temporary offset-index matrix
+        Upper bound on the elements of one batch's key matrix plus histogram
         (default: the ``REPRO_MASK_MATRIX_CHUNK_ELEMENTS`` environment
         variable, falling back to 8e6).
 
@@ -195,11 +252,16 @@ def masked_bucket_counts(
         Int64 matrix of shape ``(num_masks, num_buckets)`` where row ``c``
         equals ``np.bincount(indices[masks[c]], minlength=num_buckets)``.
 
-    Each chunk of rows is counted with a *single* ``np.bincount`` by
-    offsetting row ``c``'s indices into the window
-    ``[c * num_buckets, (c + 1) * num_buckets)``; when every offset index of
-    a row chunk fits ``int32`` the temporaries are built in ``int32``,
-    halving the kernel's memory traffic.
+    This is a bit-sliced index over the masks (O'Neil & Quass, "Improved
+    Query Performance with Variant Indexes", SIGMOD 1997): rows are packed
+    four at a time into 4-bit codes, and each batch of groups is counted by a
+    *single* ``np.bincount`` over the key ``group·M·16 + index·16 + code``.
+    The ``(group, cell, code)`` histogram times the ``(16, 4)`` bit matrix
+    gives every row's counts; each count is at most ``num_tuples``, far below
+    2**53, so the float64 product is exact.  Groups are batched so the key
+    matrix plus histogram stay within ``chunk_elements`` and within a
+    cache-sized cap (``_NIBBLE_BATCH_ELEMENTS``), and keys are ``int32``
+    whenever a batch's histogram fits.
     """
     masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 2:
@@ -209,27 +271,12 @@ def masked_bucket_counts(
         raise BucketingError(
             f"indices shape {indices.shape} does not match masks row length {num_tuples}"
         )
-    counts = np.empty((num_masks, num_buckets), dtype=np.int64)
     if num_masks == 0:
-        return counts
+        return np.empty((0, num_buckets), dtype=np.int64)
     budget = _mask_matrix_chunk_elements(chunk_elements)
-    chunk_rows = max(1, budget // max(1, num_tuples))
-    dtype = _offset_dtype(min(num_masks, chunk_rows) * num_buckets)
-    narrow = indices.astype(dtype, copy=False)
-    # One offset table for the whole call, sized to the widest window and
-    # sliced per window — every window shares the same row offsets, so
-    # rebuilding the table inside the loop was pure allocation churn.
-    offsets = (
-        np.arange(min(num_masks, chunk_rows), dtype=dtype) * dtype(num_buckets)
-    )[:, None]
-    for begin in range(0, num_masks, chunk_rows):
-        stop = min(begin + chunk_rows, num_masks)
-        rows = stop - begin
-        flat = (narrow[None, :] + offsets[:rows])[masks[begin:stop]]
-        counts[begin:stop] = np.bincount(
-            flat, minlength=rows * num_buckets
-        ).reshape(rows, num_buckets)
-    return counts
+    return _nibble_counts(
+        indices, _pack_nibbles(masks), num_masks, num_buckets, budget
+    )
 
 
 @dataclass
@@ -375,7 +422,7 @@ def count_value_chunk(
 
     One ``searchsorted`` assignment pass over the chunk feeds every output:
     ``sizes`` from a plain ``bincount``, all ``masks`` rows from the
-    mask-matrix kernel :func:`masked_bucket_counts`, all ``weights`` rows
+    bit-sliced kernel :func:`masked_bucket_counts`, all ``weights`` rows
     from weighted bincounts, and the data bounds from one sort.  It is the
     one-segment case of :func:`count_plan_chunk`, so its partials equal
     what the pipeline's plan fold counts for the same chunk.
@@ -409,28 +456,19 @@ def count_value_chunk(
         bound_slots = tuple(range(num_masks, mask_matrix.shape[0]))
     else:
         bound_slots = ()
-    if weights is not None:
-        weight_matrix = np.asarray(weights, dtype=np.float64)
-        if weight_matrix.ndim != 2 or weight_matrix.shape[1] != array.shape[0]:
-            raise BucketingError(
-                "weights must form a (num_weights, num_tuples) matrix"
-            )
-    else:
-        weight_matrix = np.zeros((0, array.shape[0]), dtype=np.float64)
-
     plan = KernelPlan(
         axes=(AxisSpec(column=0, cuts=np.asarray(cuts), with_bounds=with_bounds),),
         segments=(
             ValueSegment(
                 axis=0,
                 mask_slots=tuple(range(num_masks)),
-                weight_slots=tuple(range(weight_matrix.shape[0])),
+                weight_slots=tuple(range(0 if weights is None else len(weights))),
                 bound_mask_slots=bound_slots,
                 with_bounds=with_bounds,
             ),
         ),
     )
-    part = count_plan_chunk(plan, ((array,), mask_matrix, weight_matrix)).parts[0]
+    part = count_plan_chunk(plan, ((array,), mask_matrix, weights)).parts[0]
     assert isinstance(part, ChunkCounts)
     return part
 
@@ -541,24 +579,12 @@ def count_grid_chunk(
     One ``searchsorted`` assignment pass per axis, then the cell index
     ``row * C + column`` flattens the grid so the per-cell tuple counts come
     from a single ``np.bincount`` — and every objective mask's conditional
-    cell counts from the same mask-matrix kernel
+    cell counts from the same bit-sliced kernel
     (:func:`masked_bucket_counts`) the 1-D paths use, treating the ``R·C``
     cells as one flat bucket axis.  Module-level and numpy-only in its
     arguments (picklable), so the pipeline's multiprocessing executor runs
     it in worker processes unchanged.
     """
-    rows_array = np.asarray(row_values, dtype=np.float64).ravel()
-    columns_array = np.asarray(column_values, dtype=np.float64).ravel()
-    if rows_array.shape != columns_array.shape:
-        raise BucketingError(
-            "row and column value chunks must have the same length"
-        )
-    if masks is None:
-        mask_matrix = np.zeros((0, rows_array.shape[0]), dtype=bool)
-    else:
-        mask_matrix = np.asarray(masks, dtype=bool)
-        if mask_matrix.ndim != 2 or mask_matrix.shape[1] != rows_array.shape[0]:
-            raise BucketingError("masks must form a (num_masks, num_tuples) matrix")
     plan = KernelPlan(
         axes=(
             AxisSpec(column=0, cuts=np.asarray(row_cuts)),
@@ -568,13 +594,11 @@ def count_grid_chunk(
             GridSegment(
                 row_axis=0,
                 column_axis=1,
-                mask_slots=tuple(range(mask_matrix.shape[0])),
+                mask_slots=tuple(range(0 if masks is None else len(masks))),
             ),
         ),
     )
-    part = count_plan_chunk(
-        plan, ((rows_array, columns_array), mask_matrix, None)
-    ).parts[0]
+    part = count_plan_chunk(plan, ((row_values, column_values), masks, None)).parts[0]
     assert isinstance(part, GridChunkCounts)
     return part
 
@@ -770,66 +794,6 @@ class PlanChunkCounts:
         return cls(parts)
 
 
-def _fused_window_counts(
-    entries: Sequence[tuple[np.ndarray, np.ndarray | None, int]],
-    chunk_elements: int | None = None,
-) -> list[np.ndarray]:
-    """Offset-encoded flat bincounts over heterogeneous index windows.
-
-    Each entry is ``(indices, mask, cells)``; the result list holds
-    ``np.bincount(indices[mask], minlength=cells)`` per entry (mask ``None``
-    counts every tuple).  Entries are batched so each batch's temporaries —
-    the selected indices *and* the combined bincount window of
-    ``sum(cells)`` — respect the mask-matrix element budget, every batch
-    offsets each entry into its own ``cells``-sized window, and a
-    **single** flat ``np.bincount`` answers the whole batch — the
-    cross-attribute generalization of :func:`masked_bucket_counts`, with
-    the same ``int32`` narrowing when the combined window fits.
-    """
-    results: list[np.ndarray] = [None] * len(entries)  # type: ignore[list-item]
-    if not entries:
-        return results
-    budget = _mask_matrix_chunk_elements(chunk_elements)
-    batch: list[tuple[int, np.ndarray, int]] = []
-    batch_elements = 0
-
-    def flush() -> None:
-        nonlocal batch, batch_elements
-        if not batch:
-            return
-        if len(batch) == 1:
-            position, selected, cells = batch[0]
-            results[position] = np.bincount(selected, minlength=cells).astype(
-                np.int64
-            )
-        else:
-            total = sum(cells for _, _, cells in batch)
-            dtype = _offset_dtype(total)
-            offset = 0
-            parts = []
-            for _, selected, cells in batch:
-                parts.append(selected.astype(dtype, copy=False) + dtype(offset))
-                offset += cells
-            flat_counts = np.bincount(np.concatenate(parts), minlength=total)
-            offset = 0
-            for position, _, cells in batch:
-                results[position] = flat_counts[offset : offset + cells].astype(
-                    np.int64, copy=False
-                )
-                offset += cells
-        batch = []
-        batch_elements = 0
-
-    for position, (indices, mask, cells) in enumerate(entries):
-        selected = indices if mask is None else indices[mask]
-        if batch and batch_elements + selected.size + cells > budget:
-            flush()
-        batch.append((position, selected, cells))
-        batch_elements += selected.size + cells
-    flush()
-    return results
-
-
 def _fused_weighted_sums(
     entries: Sequence[tuple[np.ndarray, np.ndarray, int]],
     chunk_elements: int | None = None,
@@ -889,67 +853,119 @@ def _fused_weighted_sums(
     return results
 
 
+def _check_rows(
+    name: str,
+    matrix: np.ndarray | None,
+    dtype: type,
+    slots: set[int],
+    num_tuples: int,
+) -> np.ndarray | None:
+    """Validate one stacked payload matrix against the slots a plan reads."""
+    if matrix is None:
+        if slots:
+            raise BucketingError(
+                f"the plan reads {name} slots {sorted(slots)} but the payload "
+                f"has no {name} matrix"
+            )
+        return None
+    matrix = np.asarray(matrix, dtype=dtype)
+    if matrix.ndim != 2 or matrix.shape[1] != num_tuples:
+        raise BucketingError(
+            f"{name} matrix of shape {matrix.shape} does not hold one row of "
+            f"{num_tuples} entries per {name}"
+        )
+    if slots and (min(slots) < 0 or max(slots) >= matrix.shape[0]):
+        raise BucketingError(
+            f"the plan reads {name} slots {sorted(slots)} but the payload "
+            f"has {matrix.shape[0]} {name} rows"
+        )
+    return matrix
+
+
+def _check_payload(
+    plan: KernelPlan,
+    columns: Sequence[np.ndarray],
+    masks: np.ndarray | None,
+    weights: np.ndarray | None,
+) -> tuple[list[np.ndarray], np.ndarray | None, np.ndarray | None]:
+    """Validate one chunk payload against ``plan`` before anything is counted.
+
+    Every axis column, mask row and weight row must hold the chunk's
+    ``num_tuples`` entries, and every slot a segment reads must exist —
+    otherwise numpy would broadcast a length-1 row across the chunk or fail
+    with an untyped ``IndexError``.  Returns the float64 axis columns and
+    the coerced mask / weight matrices.
+    """
+    if not plan.axes:
+        raise BucketingError("a kernel plan needs at least one axis")
+    axis_values: list[np.ndarray] = []
+    for axis in plan.axes:
+        if not 0 <= axis.column < len(columns):
+            raise BucketingError(
+                f"axis column slot {axis.column} is not among the payload's "
+                f"{len(columns)} columns"
+            )
+        axis_values.append(np.asarray(columns[axis.column], dtype=np.float64).ravel())
+    num_tuples = axis_values[0].shape[0]
+    for axis, values in zip(plan.axes, axis_values):
+        if values.shape[0] != num_tuples:
+            raise BucketingError(
+                f"axis column {axis.column} has {values.shape[0]} values; "
+                f"the chunk has {num_tuples} tuples"
+            )
+    mask_slots: set[int] = set()
+    weight_slots: set[int] = set()
+    for segment in plan.segments:
+        mask_slots.update(segment.mask_slots)
+        if isinstance(segment, ValueSegment):
+            mask_slots.update(segment.bound_mask_slots)
+            weight_slots.update(segment.weight_slots)
+    return (
+        axis_values,
+        _check_rows("mask", masks, bool, mask_slots, num_tuples),
+        _check_rows("weight", weights, np.float64, weight_slots, num_tuples),
+    )
+
+
 def count_plan_chunk(
     plan: KernelPlan,
     payload: tuple[
         Sequence[np.ndarray], np.ndarray | None, np.ndarray | None
     ],
-    tier: str = "numpy",
 ) -> PlanChunkCounts:
     """The fused counting kernel: one chunk answers every plan segment.
 
-    Per chunk, each axis is assigned to buckets exactly **once** (and its
-    data bounds sorted once) however many segments share it; every
-    ``(segment, condition)`` cell — 1-D buckets and flattened 2-D grids
-    alike — is answered through offset-encoded flat ``bincount``\\ s; and
-    all §5 bucket sums go through one flat weighted ``bincount``.  The
-    single-request kernels :func:`count_value_chunk` and
+    Per chunk the payload is validated once (:class:`BucketingError` on any
+    mis-shaped column, mask or weight row), each axis is assigned to buckets
+    exactly **once** (and its data bounds sorted once) however many segments
+    share it, each distinct tuple of mask slots is packed into 4-bit codes
+    once, and every ``(segment, condition)`` cell — 1-D buckets and
+    flattened 2-D grids alike — is answered by the bit-sliced kernel behind
+    :func:`masked_bucket_counts`.  Segment sizes are one plain ``bincount``
+    each, and all §5 bucket sums go through one flat weighted ``bincount``.
+    The single-request kernels :func:`count_value_chunk` and
     :func:`count_grid_chunk` are this function applied to a one-segment
     plan, so fused and per-request scans are bit-identical by construction.
-
-    ``tier`` selects the already-resolved kernel tier: ``"numpy"`` runs the
-    vectorized path above; ``"compiled"`` routes assignment, bounds, and
-    every (conditional) count through the fused Numba loops of
-    :mod:`repro.kernels.compiled` — no offset-index or mask-gather
-    temporaries at all — and is bit-identical by the kernel parity oracles.
     """
-    if tier not in ("numpy", "compiled"):
-        raise KernelError(
-            f"count_plan_chunk expects a resolved kernel tier "
-            f"('numpy' or 'compiled'), got {tier!r}"
-        )
-    kernels = load_compiled() if tier == "compiled" else None
     columns, masks, weights = payload
-    if not plan.axes:
-        raise BucketingError("a kernel plan needs at least one axis")
+    axis_values, masks, weights = _check_payload(plan, columns, masks, weights)
+    num_tuples = int(axis_values[0].shape[0])
+    budget = _mask_matrix_chunk_elements()
 
-    axis_values: list[np.ndarray] = []
     axis_indices: list[np.ndarray] = []
     axis_cells: list[int] = []
     axis_bounds: list[tuple[np.ndarray, np.ndarray] | None] = []
     axis_bucketings: list[Bucketing] = []
-    for axis in plan.axes:
-        values = np.asarray(columns[axis.column], dtype=np.float64).ravel()
+    for axis, values in zip(plan.axes, axis_values):
         bucketing = Bucketing(axis.cuts)
-        axis_values.append(values)
         axis_bucketings.append(bucketing)
-        if kernels is not None:
-            indices = kernels.assign_buckets(values, bucketing.cuts)
-            bounds = (
-                kernels.bucket_value_bounds(values, indices, bucketing.num_buckets)
-                if axis.with_bounds
-                else None
-            )
-        else:
-            indices = bucketing.assign(values)
-            bounds = bucketing.data_bounds(values) if axis.with_bounds else None
-        axis_indices.append(indices)
+        axis_indices.append(bucketing.assign(values))
         axis_cells.append(bucketing.num_buckets)
-        axis_bounds.append(bounds)
-    num_tuples = int(axis_values[0].shape[0])
+        axis_bounds.append(bucketing.data_bounds(values) if axis.with_bounds else None)
 
     segment_indices: list[np.ndarray] = []
     segment_cells: list[int] = []
+    weight_entries: list[tuple[np.ndarray, np.ndarray, int]] = []
     for segment in plan.segments:
         if isinstance(segment, GridSegment):
             if not (
@@ -969,70 +985,26 @@ def count_plan_chunk(
         else:
             segment_indices.append(axis_indices[segment.axis])
             segment_cells.append(axis_cells[segment.axis])
-
-    if kernels is not None:
-        size_rows = [
-            kernels.bucket_counts(indices, cells)
-            for indices, cells in zip(segment_indices, segment_cells)
-        ]
-        conditional_rows = []
-        for position, segment in enumerate(plan.segments):
-            if not segment.mask_slots:
-                continue
-            slot_rows = kernels.masked_counts_slots(
-                segment_indices[position],
-                masks,
-                np.asarray(segment.mask_slots, dtype=np.int64),
-                segment_cells[position],
-            )
-            conditional_rows.extend(slot_rows)
-        sum_rows = []
-        for position, segment in enumerate(plan.segments):
-            if isinstance(segment, GridSegment):
-                continue
-            for slot in segment.weight_slots:
-                sum_rows.append(
-                    kernels.weighted_bucket_sums(
-                        segment_indices[position],
-                        weights[slot],
-                        segment_cells[position],
-                    )
-                )
-    else:
-        size_rows = _fused_window_counts(
-            [
-                (indices, None, cells)
-                for indices, cells in zip(segment_indices, segment_cells)
-            ]
-        )
-        conditional_entries: list[tuple[np.ndarray, np.ndarray | None, int]] = []
-        for position, segment in enumerate(plan.segments):
-            for slot in segment.mask_slots:
-                conditional_entries.append(
-                    (segment_indices[position], masks[slot], segment_cells[position])
-                )
-        conditional_rows = _fused_window_counts(conditional_entries)
-
-        weight_entries: list[tuple[np.ndarray, np.ndarray, int]] = []
-        for position, segment in enumerate(plan.segments):
-            if isinstance(segment, GridSegment):
-                continue
             for slot in segment.weight_slots:
                 weight_entries.append(
-                    (segment_indices[position], weights[slot], segment_cells[position])
+                    (segment_indices[-1], weights[slot], segment_cells[-1])
                 )
-        sum_rows = _fused_weighted_sums(weight_entries)
+    sum_rows = _fused_weighted_sums(weight_entries)
 
+    packed: dict[tuple[int, ...], np.ndarray] = {}
     parts: list[ChunkCounts | GridChunkCounts] = []
-    conditional_cursor = 0
     sum_cursor = 0
-    for position, segment in enumerate(plan.segments):
-        cells = segment_cells[position]
-        taken = len(segment.mask_slots)
-        conditional = np.empty((taken, cells), dtype=np.int64)
-        for row in range(taken):
-            conditional[row] = conditional_rows[conditional_cursor + row]
-        conditional_cursor += taken
+    for segment, indices, cells in zip(plan.segments, segment_indices, segment_cells):
+        sizes = np.bincount(indices, minlength=cells).astype(np.int64, copy=False)
+        slots = segment.mask_slots
+        if slots:
+            if slots not in packed:
+                packed[slots] = _pack_nibbles(masks[list(slots)])
+            conditional = _nibble_counts(
+                indices, packed[slots], len(slots), cells, budget
+            )
+        else:
+            conditional = np.empty((0, cells), dtype=np.int64)
         if isinstance(segment, GridSegment):
             rows_cells = axis_cells[segment.row_axis]
             columns_cells = axis_cells[segment.column_axis]
@@ -1040,7 +1012,7 @@ def count_plan_chunk(
             column_lows, column_highs = axis_bounds[segment.column_axis]
             parts.append(
                 GridChunkCounts(
-                    sizes=size_rows[position].reshape(rows_cells, columns_cells),
+                    sizes=sizes.reshape(rows_cells, columns_cells),
                     conditional=conditional.reshape(-1, rows_cells, columns_cells),
                     row_lows=row_lows,
                     row_highs=row_highs,
@@ -1062,20 +1034,12 @@ def count_plan_chunk(
         mask_lows = np.full((len(segment.bound_mask_slots), cells), np.nan)
         mask_highs = np.full((len(segment.bound_mask_slots), cells), np.nan)
         for row, slot in enumerate(segment.bound_mask_slots):
-            if kernels is not None:
-                mask_lows[row], mask_highs[row] = kernels.masked_bucket_value_bounds(
-                    axis_values[segment.axis],
-                    segment_indices[position],
-                    masks[slot],
-                    cells,
-                )
-            else:
-                mask_lows[row], mask_highs[row] = axis_bucketings[
-                    segment.axis
-                ].data_bounds(axis_values[segment.axis][masks[slot]])
+            mask_lows[row], mask_highs[row] = axis_bucketings[
+                segment.axis
+            ].data_bounds(axis_values[segment.axis][masks[slot]])
         parts.append(
             ChunkCounts(
-                sizes=size_rows[position],
+                sizes=sizes,
                 conditional=conditional,
                 sums=sums,
                 lows=lows,
@@ -1122,9 +1086,9 @@ def count_many(
     Functionally identical to :func:`count_relation_buckets` but explicit
     about its batched contract: the relation column is assigned to buckets
     exactly once, the data bounds are computed from one sort, and the
-    conditional counts of all ``objectives`` come from the mask-matrix
-    kernel, so ``k`` conditions cost one scan plus ``k`` cheap bincounts
-    instead of ``k`` full scans.
+    conditional counts of all ``objectives`` come from the bit-sliced
+    kernel, so ``k`` conditions cost one scan plus ``ceil(k / 4)`` key rows
+    of one bincount instead of ``k`` full scans.
     """
     values = np.asarray(relation.numeric_column(attribute), dtype=np.float64)
     indices = bucketing.assign(values)
@@ -1166,7 +1130,7 @@ def count_conditions(
 
     Convenience wrapper used by the all-combinations catalog miner: the
     bucket assignment of the numeric attribute is computed once and every
-    condition is counted from it with the mask-matrix kernel.
+    condition is counted from it with the bit-sliced kernel.
     """
     values = relation.numeric_column(attribute)
     indices = bucketing.assign(values)

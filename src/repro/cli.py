@@ -28,9 +28,8 @@ bounding the resident memory::
 of CSV: a memory-mapped ``.npy`` column directory (see ``repro.pipeline.
 write_columnar``) or an Arrow/Parquet file (needs ``pyarrow``).  ``--path``
 names the data directory/file when it differs from the positional argument.
-``--kernel-tier auto|numpy|compiled`` (or ``REPRO_KERNEL_TIER``) selects the
-counting/solver kernel tier; all tiers are bit-identical, so stores, shards,
-and checkpoints interoperate freely across tiers::
+``--kernel-tier auto|numpy`` (or ``REPRO_KERNEL_TIER``) is kept for
+compatibility: both names select the one NumPy counting kernel::
 
     python -m repro catalog bank_columns/ --source npy --kernel-tier auto
 
@@ -108,6 +107,7 @@ from repro.experiments import (
     run_figure11,
     run_table1,
 )
+from repro.kernels import KERNEL_TIERS
 
 __all__ = ["main", "build_parser"]
 
@@ -611,11 +611,10 @@ def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_kernel_tier_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel-tier",
-        choices=("auto", "numpy", "compiled"),
+        choices=KERNEL_TIERS,
         default=None,
-        help="counting kernel tier: compiled (numba) when available "
-        "under auto, pure numpy otherwise; all tiers are bit-identical "
-        "(default: REPRO_KERNEL_TIER or auto)",
+        help="counting kernel tier; auto and numpy both select the NumPy "
+        "kernel (default: REPRO_KERNEL_TIER or auto)",
     )
 
 

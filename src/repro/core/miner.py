@@ -197,10 +197,10 @@ class OptimizedRuleMiner:
         ``"streaming"``, or ``"multiprocessing"``); ignored for in-memory
         data.
     kernel_tier:
-        ``"auto"``/``"numpy"``/``"compiled"`` kernel tier for the streaming
-        counting passes (default: the ``REPRO_KERNEL_TIER`` environment
-        variable, then ``"auto"``); ignored when ``builder`` is supplied
-        and for in-memory data.  Tiers are bit-interchangeable.
+        ``"auto"``/``"numpy"`` kernel tier name for the streaming counting
+        passes (default: the ``REPRO_KERNEL_TIER`` environment variable,
+        then ``"auto"``); both select the NumPy kernel.  Ignored when
+        ``builder`` is supplied and for in-memory data.
     builder:
         Optional pre-configured :class:`~repro.pipeline.ProfileBuilder`
         (overrides ``executor``; its ``num_buckets`` governs streaming

@@ -79,10 +79,9 @@ class ExecutorError(PipelineError):
 class KernelError(PipelineError):
     """A kernel tier was requested that cannot be provided.
 
-    Raised when ``kernel_tier="compiled"`` is selected explicitly but the
-    optional ``numba`` dependency is missing, or when an unknown tier name
-    reaches the kernel dispatcher.  ``kernel_tier="auto"`` never raises —
-    it silently falls back to the pure-NumPy tier.
+    Raised when an unknown tier name is requested — including
+    ``kernel_tier="compiled"``, whose numba kernels were removed.
+    ``"auto"`` and ``"numpy"`` never raise.
     """
 
 

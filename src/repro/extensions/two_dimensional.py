@@ -149,9 +149,9 @@ def mine_rectangle_rule(
         scans, and an append-only grown source counts only its tail.
         Ignored for in-memory relations (they are counted directly).
     kernel_tier:
-        Counting kernel tier for source-backed mining (``"auto"`` /
-        ``"numpy"`` / ``"compiled"``; tiers are bit-identical).  Ignored
-        when ``builder`` is supplied or for in-memory relations.
+        Kernel tier name for source-backed mining (``"auto"`` or
+        ``"numpy"``; both select the NumPy kernel).  Ignored when
+        ``builder`` is supplied or for in-memory relations.
     """
     if grid[0] <= 0 or grid[1] <= 0:
         raise OptimizationError("grid dimensions must be positive")

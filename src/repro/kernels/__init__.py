@@ -1,23 +1,13 @@
-"""Kernel tier selection: compiled (Numba) kernels with a NumPy fallback.
+"""Kernel tier selection.
 
-The mining engine has exactly one algorithmic cost model — every tier counts
-the same buckets in the same order — but two implementations of the hot
-loops:
-
-``"numpy"``
-    The pure-NumPy kernels that ship with the package.  Always available.
-``"compiled"``
-    Numba ``@njit`` kernels (:mod:`repro.kernels.compiled`) that fuse the
-    assignment + offset-encode + bincount passes into single loops over the
-    chunk.  Available only when the optional ``numba`` dependency imports.
-``"auto"``
-    Resolve to ``"compiled"`` when numba is importable, else ``"numpy"``.
-
-Tier selection is *observable but never semantic*: the tiers are
-bit-interchangeable (locked by the randomized parity oracles in
-``tests/kernels``), so profile stores, plan signatures, and checkpoints are
-shared freely across tiers.  Selection precedence is keyword argument >
-``REPRO_KERNEL_TIER`` environment variable > ``"auto"``.
+The mining engine has one counting implementation: the pure-NumPy kernels
+of :mod:`repro.bucketing.counting`.  The ``kernel_tier=`` keywords, the
+``--kernel-tier`` flag and the ``REPRO_KERNEL_TIER`` environment variable
+remain as a validated selector so existing callers keep working: ``"auto"``
+and ``"numpy"`` both resolve to ``"numpy"``, and any other name — including
+the retired ``"compiled"`` (numba) tier — raises
+:class:`~repro.exceptions.KernelError`.  Selection precedence is keyword
+argument > ``REPRO_KERNEL_TIER`` > ``"auto"``.
 """
 
 from __future__ import annotations
@@ -28,14 +18,12 @@ from repro.exceptions import KernelError
 
 __all__ = [
     "DEFAULT_KERNEL_TIER",
-    "HAVE_NUMBA",
     "KERNEL_TIERS",
-    "load_compiled",
     "resolve_kernel_tier",
 ]
 
 #: Tier names accepted by ``kernel_tier=`` keywords and ``--kernel-tier``.
-KERNEL_TIERS = ("auto", "numpy", "compiled")
+KERNEL_TIERS = ("auto", "numpy")
 
 #: Tier used when neither the keyword nor ``REPRO_KERNEL_TIER`` is set.
 DEFAULT_KERNEL_TIER = "auto"
@@ -43,63 +31,33 @@ DEFAULT_KERNEL_TIER = "auto"
 #: Environment variable consulted when no explicit tier is requested.
 KERNEL_TIER_ENV = "REPRO_KERNEL_TIER"
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the vanilla environment
-    HAVE_NUMBA = False
-
 
 def resolve_kernel_tier(requested: str | None = None) -> str:
-    """Resolve a tier request to the concrete tier to run (``numpy``/``compiled``).
+    """Resolve a tier request to the concrete tier to run (always ``"numpy"``).
 
     Parameters
     ----------
     requested:
-        ``"auto"``, ``"numpy"``, ``"compiled"``, or ``None``.  ``None``
-        defers to the ``REPRO_KERNEL_TIER`` environment variable and then
-        to ``"auto"``.
+        ``"auto"``, ``"numpy"``, or ``None``.  ``None`` defers to the
+        ``REPRO_KERNEL_TIER`` environment variable and then to ``"auto"``.
 
     Raises
     ------
     KernelError
-        If the tier name is unknown, or ``"compiled"`` was requested
-        explicitly but numba is not installed.  ``"auto"`` never raises;
-        it degrades to ``"numpy"`` when numba is missing.
+        If the tier name is unknown, including ``"compiled"``: the numba
+        tier was removed, and the NumPy kernels are the only implementation.
     """
     if requested is None:
         requested = os.environ.get(KERNEL_TIER_ENV) or DEFAULT_KERNEL_TIER
     tier = str(requested).strip().lower()
+    if tier == "compiled":
+        raise KernelError(
+            "the compiled (numba) kernel tier was removed; the NumPy counting "
+            "kernel is the only implementation — use kernel_tier='auto' or "
+            "'numpy'"
+        )
     if tier not in KERNEL_TIERS:
         raise KernelError(
             f"unknown kernel tier {requested!r}; expected one of {KERNEL_TIERS}"
         )
-    if tier == "auto":
-        return "compiled" if HAVE_NUMBA else "numpy"
-    if tier == "compiled" and not HAVE_NUMBA:
-        raise KernelError(
-            "kernel_tier='compiled' requires the optional numba dependency, "
-            "which is not installed; use kernel_tier='auto' to fall back to "
-            "the NumPy tier automatically"
-        )
-    return tier
-
-
-def load_compiled():
-    """Import and return :mod:`repro.kernels.compiled`.
-
-    Raises
-    ------
-    KernelError
-        When numba is not installed (same message as an explicit
-        ``kernel_tier="compiled"`` request).
-    """
-    if not HAVE_NUMBA:
-        raise KernelError(
-            "the compiled kernel tier requires the optional numba "
-            "dependency, which is not installed"
-        )
-    from repro.kernels import compiled
-
-    return compiled
+    return "numpy"

@@ -176,10 +176,10 @@ def mine_rule_catalog(
         ``"streaming"``, or ``"multiprocessing"``); ignored for in-memory
         data.
     kernel_tier:
-        ``"auto"``/``"numpy"``/``"compiled"`` kernel tier for streaming
-        counting (default: the ``REPRO_KERNEL_TIER`` environment variable,
-        then ``"auto"``).  Tiers are bit-interchangeable; ignored for
-        in-memory data.
+        ``"auto"``/``"numpy"`` kernel tier name for streaming counting
+        (default: the ``REPRO_KERNEL_TIER`` environment variable, then
+        ``"auto"``); both select the NumPy kernel.  Ignored for in-memory
+        data.
     store:
         Optional :class:`~repro.store.ProfileStore`.  Re-mining the same
         catalog (same data, thresholds aside) then performs **zero**

@@ -20,7 +20,7 @@ them from a single physical scan of any
 2. **fused counting fold** — every chunk (cached or re-scanned) runs
    through :func:`~repro.bucketing.counting.count_plan_chunk`: each axis
    assigned to buckets once per chunk, every ``(segment × condition)``
-   cell answered by offset-encoded flat ``bincount``\\ s, partials merged
+   cell answered by the bit-sliced ``bincount`` kernel, partials merged
    in chunk order.
 
 Per-request entry points (``build_profile``, ``build_profiles``,
@@ -565,11 +565,6 @@ class CompiledPlan:
     payload_builder: _PlanPayloadBuilder
     needed_columns: tuple[str, ...]
     request_bucketings: tuple[tuple[Bucketing, ...], ...]
-    # Resolved kernel tier the counting passes run under.  Deliberately NOT
-    # part of the plan signature: tiers are bit-interchangeable, so stores
-    # and checkpoints are shared freely across tiers.  Defaulted last so
-    # plans pickled by older coordinators keep loading.
-    kernel_tier: str = "numpy"
 
     def count_chunks(self, chunks: Iterable[Relation]) -> PlanChunkCounts:
         """Count relation chunks serially, merging partials in chunk order."""
@@ -577,9 +572,7 @@ class CompiledPlan:
         for chunk in chunks:
             totals.merge(
                 count_plan_chunk(
-                    self.kernel_plan,
-                    self.payload_builder.build(chunk),
-                    tier=self.kernel_tier,
+                    self.kernel_plan, self.payload_builder.build(chunk)
                 )
             )
         return totals
@@ -594,14 +587,12 @@ class CompiledPlan:
 # Compiled plan shipped to each multiprocessing worker exactly once (via the
 # pool initializer); per-chunk traffic is then payload batches only.
 _WORKER_PLAN: KernelPlan | None = None
-_WORKER_TIER: str = "numpy"
 
 
-def _init_plan_worker(plan: KernelPlan, tier: str = "numpy") -> None:
+def _init_plan_worker(plan: KernelPlan) -> None:
     """Process-pool initializer: pin the fused plan in the worker process."""
-    global _WORKER_PLAN, _WORKER_TIER
+    global _WORKER_PLAN
     _WORKER_PLAN = plan
-    _WORKER_TIER = tier
 
 
 def _count_plan_batch(batch: list) -> PlanChunkCounts:
@@ -609,7 +600,7 @@ def _count_plan_batch(batch: list) -> PlanChunkCounts:
     assert _WORKER_PLAN is not None
     totals: PlanChunkCounts | None = None
     for payload in batch:
-        part = count_plan_chunk(_WORKER_PLAN, payload, tier=_WORKER_TIER)
+        part = count_plan_chunk(_WORKER_PLAN, payload)
         totals = part if totals is None else totals.merge(part)
     assert totals is not None
     return totals
@@ -644,13 +635,11 @@ class ProfileBuilder:
         plan falls back to a separate counting scan.  Default: the
         ``REPRO_PLAN_CACHE_MB`` environment variable, else 512.
     kernel_tier:
-        ``"auto"``, ``"numpy"``, or ``"compiled"`` — which kernel tier the
-        counting passes run (default: the ``REPRO_KERNEL_TIER`` environment
-        variable, then ``"auto"``).  Resolved once at construction;
-        ``"auto"`` picks the compiled Numba kernels when numba is
-        installed and the NumPy kernels otherwise.  Tiers are
-        bit-interchangeable, so the choice never affects results, plan
-        signatures, or store compatibility.
+        ``"auto"`` or ``"numpy"`` (default: the ``REPRO_KERNEL_TIER``
+        environment variable, then ``"auto"``).  Both resolve to the one
+        NumPy counting kernel; an unknown name — including the removed
+        ``"compiled"`` tier — raises :class:`~repro.exceptions.KernelError`
+        at construction.
     """
 
     def __init__(
@@ -716,7 +705,7 @@ class ProfileBuilder:
 
     @property
     def kernel_tier(self) -> str:
-        """The resolved kernel tier (``"numpy"`` or ``"compiled"``)."""
+        """The resolved kernel tier (always ``"numpy"``)."""
         return self._kernel_tier
 
     # -- pass 1: boundary sampling ---------------------------------------------
@@ -1031,7 +1020,6 @@ class ProfileBuilder:
             payload_builder=payload_builder,
             needed_columns=tuple(needed_columns),
             request_bucketings=tuple(request_bucketings),
-            kernel_tier=self._kernel_tier,
         )
 
     def execute_plan(
@@ -1224,15 +1212,13 @@ class ProfileBuilder:
         totals = kernel_plan.zeros() if initial is None else initial
         if self._executor in ("serial", "streaming"):
             for payload in payloads:
-                totals.merge(
-                    count_plan_chunk(kernel_plan, payload, tier=self._kernel_tier)
-                )
+                totals.merge(count_plan_chunk(kernel_plan, payload))
             return totals
         workers = self._max_workers or min(8, os.cpu_count() or 1)
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_plan_worker,
-            initargs=(kernel_plan, self._kernel_tier),
+            initargs=(kernel_plan,),
         ) as pool:
             window: deque = deque()
             submitted = 0

@@ -1,7 +1,7 @@
 """Stdlib asyncio HTTP/1.1 front-end for :class:`~repro.service.RuleService`.
 
-Mirrors the kernel-tier discipline: the dependency-free tier is the
-*primary* implementation, not a fallback.  An :mod:`asyncio` protocol
+The dependency-free tier is the *primary* implementation, not a
+fallback.  An :mod:`asyncio` protocol
 parses requests and keeps connections alive; the synchronous
 ``RuleService.handle`` runs on a bounded :class:`ThreadPoolExecutor` so
 slow cold mines never stall the accept loop, while warm cache hits clear a

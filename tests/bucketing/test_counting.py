@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bucketing import (
     Bucketing,
@@ -138,6 +139,91 @@ class TestMaskedBucketCounts:
             masked_bucket_counts(
                 np.zeros(10, dtype=np.int64), np.zeros(10, dtype=bool), 4
             )
+
+
+class TestBitSlicedOracle:
+    """The bit-sliced kernel against a plain per-row ``bincount``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        rows=st.sampled_from([0, 1, 3, 4, 5, 53]),
+        cells=st.one_of(st.integers(1, 40), st.sampled_from([400, 1000, 1024])),
+        num_tuples=st.one_of(st.sampled_from([0, 1]), st.integers(2, 300)),
+        fill=st.sampled_from(["random", "all", "none"]),
+        chunk_elements=st.sampled_from([None, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_row_bincount(
+        self, rows, cells, num_tuples, fill, chunk_elements, seed
+    ) -> None:
+        rng = np.random.default_rng(seed)
+        indices = rng.integers(0, cells, size=num_tuples)
+        if fill == "random":
+            masks = rng.random((rows, num_tuples)) < rng.random((rows, 1))
+        else:
+            masks = np.full((rows, num_tuples), fill == "all")
+        # chunk_elements=1 forces one 4-row group per bincount batch.
+        counts = masked_bucket_counts(
+            indices, masks, cells, chunk_elements=chunk_elements
+        )
+        assert counts.shape == (rows, cells)
+        assert counts.dtype == np.int64
+        for row in range(rows):
+            assert np.array_equal(
+                counts[row], np.bincount(indices[masks[row]], minlength=cells)
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_tuples=st.one_of(st.sampled_from([0, 1]), st.integers(2, 400)),
+        grid=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_plan_segments_share_packing(self, num_tuples, grid, seed) -> None:
+        """Segments reading the same slots share one packing, never its counts."""
+        rng = np.random.default_rng(seed)
+        columns = (rng.normal(size=num_tuples), rng.normal(size=num_tuples))
+        masks = rng.random((7, num_tuples)) < 0.5
+        bucketings = [
+            Bucketing(np.sort(rng.normal(size=grid[0] - 1))),
+            Bucketing(np.sort(rng.normal(size=grid[1] - 1))),
+        ]
+        shared = (0, 2, 3, 5, 6)
+        plan = counting_module.KernelPlan(
+            axes=(
+                counting_module.AxisSpec(column=0, cuts=bucketings[0].cuts),
+                counting_module.AxisSpec(column=1, cuts=bucketings[1].cuts),
+            ),
+            segments=(
+                counting_module.ValueSegment(axis=0, mask_slots=shared),
+                counting_module.ValueSegment(axis=1, mask_slots=shared),
+                counting_module.ValueSegment(axis=1, mask_slots=(4, 1)),
+                counting_module.GridSegment(
+                    row_axis=0, column_axis=1, mask_slots=shared
+                ),
+            ),
+        )
+        counted = counting_module.count_plan_chunk(plan, (columns, masks, None))
+        rows_index = bucketings[0].assign(columns[0])
+        columns_index = bucketings[1].assign(columns[1])
+        cell_index = rows_index * grid[1] + columns_index
+        expected = [
+            (rows_index, grid[0], shared),
+            (columns_index, grid[1], shared),
+            (columns_index, grid[1], (4, 1)),
+            (cell_index, grid[0] * grid[1], shared),
+        ]
+        for part, (indices, cells, slots) in zip(counted.parts, expected):
+            assert part.num_tuples == num_tuples
+            assert np.array_equal(
+                part.sizes.reshape(-1), np.bincount(indices, minlength=cells)
+            )
+            conditional = part.conditional.reshape(len(slots), cells)
+            for row, slot in enumerate(slots):
+                assert np.array_equal(
+                    conditional[row],
+                    np.bincount(indices[masks[slot]], minlength=cells),
+                )
 
 
 class TestCountMany:
@@ -409,23 +495,42 @@ class TestPlanKernel:
         with pytest.raises(BucketingError):
             plan.zeros().merge(counting_module.PlanChunkCounts([]))
 
-    def test_fused_window_counts_batches_match(self, monkeypatch) -> None:
+    def test_bit_sliced_counts_batches_match(self, monkeypatch) -> None:
         """Tiny element budgets change batching, never the counts."""
         rng = np.random.default_rng(12)
-        entries = []
-        for cells in (3, 5, 8):
-            indices = rng.integers(0, cells, size=400)
-            mask = rng.random(400) < 0.5
-            entries.append((indices, mask, cells))
-        reference = [
-            np.bincount(indices[mask], minlength=cells)
-            for indices, mask, cells in entries
+        values = rng.normal(size=400)
+        masks = rng.random((9, 400)) < 0.5
+        bucketings = [
+            Bucketing(np.quantile(values, np.linspace(0, 1, cells + 1)[1:-1]))
+            for cells in (3, 5, 8)
         ]
+        plan = counting_module.KernelPlan(
+            axes=tuple(
+                counting_module.AxisSpec(column=0, cuts=bucketing.cuts)
+                for bucketing in bucketings
+            ),
+            segments=tuple(
+                counting_module.ValueSegment(axis=axis, mask_slots=tuple(range(9)))
+                for axis in range(3)
+            ),
+        )
+        # 401 elements hold one 400-tuple key row but never its histogram
+        # too: one group per batch, three batches per segment.
         for budget in ("1", "401", "100000"):
             monkeypatch.setenv("REPRO_MASK_MATRIX_CHUNK_ELEMENTS", budget)
-            fused = counting_module._fused_window_counts(entries)
-            for got, expected in zip(fused, reference):
-                assert np.array_equal(got, expected)
+            counted = counting_module.count_plan_chunk(plan, ((values,), masks, None))
+            for part, bucketing in zip(counted.parts, bucketings):
+                indices = bucketing.assign(values)
+                assert np.array_equal(
+                    part.sizes, np.bincount(indices, minlength=bucketing.num_buckets)
+                )
+                for row in range(9):
+                    assert np.array_equal(
+                        part.conditional[row],
+                        np.bincount(
+                            indices[masks[row]], minlength=bucketing.num_buckets
+                        ),
+                    )
 
 
 class TestPlanKernelGuards:
@@ -440,13 +545,17 @@ class TestPlanKernelGuards:
         reference = [
             np.bincount(indices, minlength=cells) for indices, _, cells in entries
         ]
-        # Budget holds one window (plus its indices) but never two, so each
-        # entry flushes alone instead of concatenating a 300k-cell window.
-        fused = counting_module._fused_window_counts(
-            entries, chunk_elements=60_000
+        # An 800k-slot nibble histogram exceeds the budget on its own, so
+        # the kernel falls back to one group (four rows) per bincount
+        # instead of concatenating a multi-million-slot window.
+        masks = rng.random((9, 100)) < 0.5
+        counted = counting_module.masked_bucket_counts(
+            entries[0][0], masks, cells, chunk_elements=60_000
         )
-        for got, expected in zip(fused, reference):
-            assert np.array_equal(got, expected)
+        for row in range(9):
+            assert np.array_equal(
+                counted[row], np.bincount(entries[0][0][masks[row]], minlength=cells)
+            )
         weighted = counting_module._fused_weighted_sums(
             [
                 (indices, np.ones(indices.shape[0]), cells)
@@ -472,3 +581,89 @@ class TestPlanKernelGuards:
         )
         with pytest.raises(BucketingError):
             counting_module.count_plan_chunk(plan, ((values, values), None, None))
+
+
+class TestPayloadValidation:
+    """A mis-shaped payload is a typed error, never a silent broadcast."""
+
+    @staticmethod
+    def _grid_plan(mask_slots=(0,)):
+        return counting_module.KernelPlan(
+            axes=(
+                counting_module.AxisSpec(column=0, cuts=np.array([0.5])),
+                counting_module.AxisSpec(column=1, cuts=np.array([0.5])),
+            ),
+            segments=(
+                counting_module.GridSegment(
+                    row_axis=0, column_axis=1, mask_slots=mask_slots
+                ),
+            ),
+        )
+
+    @staticmethod
+    def _value_plan(**segment):
+        return counting_module.KernelPlan(
+            axes=(counting_module.AxisSpec(column=0, cuts=np.array([0.5])),),
+            segments=(counting_module.ValueSegment(axis=0, **segment),),
+        )
+
+    def test_short_axis_column_rejected(self) -> None:
+        rows = np.array([0.0, 0.0, 1.0, 1.0])
+        with pytest.raises(BucketingError, match="axis column 1"):
+            counting_module.count_plan_chunk(
+                self._grid_plan(mask_slots=()), ((rows, np.array([0.0])), None, None)
+            )
+
+    def test_short_mask_row_rejected(self) -> None:
+        values = np.array([0.0, 0.0, 1.0, 1.0])
+        for masks in (np.ones((1, 3), dtype=bool), np.ones((1, 1), dtype=bool)):
+            with pytest.raises(BucketingError, match="mask matrix"):
+                counting_module.count_plan_chunk(
+                    self._grid_plan(), ((values, values), masks, None)
+                )
+
+    def test_missing_mask_matrix_rejected(self) -> None:
+        values = np.array([0.0, 1.0])
+        with pytest.raises(BucketingError, match="no mask matrix"):
+            counting_module.count_plan_chunk(
+                self._value_plan(mask_slots=(0,)), ((values,), None, None)
+            )
+        with pytest.raises(BucketingError, match="no mask matrix"):
+            counting_module.count_plan_chunk(
+                self._value_plan(bound_mask_slots=(0,)), ((values,), None, None)
+            )
+
+    def test_short_weight_row_rejected(self) -> None:
+        values = np.array([0.0, 1.0, 2.0])
+        with pytest.raises(BucketingError, match="weight matrix"):
+            counting_module.count_plan_chunk(
+                self._value_plan(weight_slots=(0,)),
+                ((values,), None, np.ones((1, 1))),
+            )
+        with pytest.raises(BucketingError, match="no weight matrix"):
+            counting_module.count_plan_chunk(
+                self._value_plan(weight_slots=(0,)), ((values,), None, None)
+            )
+
+    def test_slot_past_the_matrix_rejected(self) -> None:
+        values = np.array([0.0, 1.0])
+        with pytest.raises(BucketingError, match="2 mask rows"):
+            counting_module.count_plan_chunk(
+                self._value_plan(mask_slots=(0, 2)),
+                ((values,), np.ones((2, 2), dtype=bool), None),
+            )
+        with pytest.raises(BucketingError, match="column slot 1"):
+            counting_module.count_plan_chunk(
+                self._grid_plan(mask_slots=()), ((values,), None, None)
+            )
+
+    def test_well_formed_payload_counts(self) -> None:
+        rows = np.array([0.0, 0.0, 1.0, 1.0])
+        columns = np.array([0.0, 1.0, 1.0, 1.0])
+        masks = np.array([[True, False, True, True]])
+        part = counting_module.count_plan_chunk(
+            self._grid_plan(), ((rows, columns), masks, None)
+        ).parts[0]
+        assert part.sizes.tolist() == [[1, 1], [0, 2]]
+        assert part.conditional.tolist() == [[[1, 0], [0, 2]]]
+        assert part.num_tuples == 4
