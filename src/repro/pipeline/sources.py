@@ -497,11 +497,15 @@ class CSVSource(DataSource):
     schema:
         Optional explicit schema.  When omitted it is inferred from the
         first chunk of the file and then pinned, so every scan of this
-        source parses identically; pass an explicit schema for files whose
-        early rows are not representative (e.g. a 0/1 column that later
-        holds other numbers) —
-        :func:`repro.relation.io.infer_csv_schema` derives one from the
-        whole file in a single bounded-memory scan.
+        source parses identically.  The inference guesses from the first
+        data row and lets the typed parse of the first chunk verify the
+        guess (:func:`repro.relation.io.read_csv_first_chunk`), so the
+        chunk is tokenized once and kept for the next scan; a rejected
+        guess falls back to the exact per-value digest of that chunk.
+        Pass an explicit schema for files whose early rows are not
+        representative (e.g. a 0/1 column that later holds other
+        numbers) — :func:`repro.relation.io.infer_csv_schema` derives one
+        from the whole file in a single bounded-memory scan.
     chunk_size:
         Maximum tuples per chunk (bounds the resident memory of a scan).
     fast:

@@ -20,16 +20,26 @@ Fast path
 ---------
 Chunks are read as blocks of raw lines and handed to ``np.loadtxt``'s C
 tokenizer: numeric columns parse straight to ``float64`` (no intermediate
-Python strings), Boolean columns parse as fixed-width byte strings compared
-against the ``yes``/``no`` vocabulary, and a per-block comma count validates
-the row widths.  Any block the fast tokenizer cannot handle exactly — quoted
-fields, blank lines, stray vocabulary (``TRUE``), numeric literals only
-Python's ``float`` accepts (digit-group underscores), width errors — hands
-the *rest of the file* to the legacy ``csv.reader`` + per-column parser, so
-values, schema inference, and error messages are identical to the
-pre-fast-path reader on every input.  ``fast=False`` forces the legacy
-reader throughout (the benchmarks use it to time the old configuration
-verbatim).
+Python strings), Boolean columns parse as fixed-width byte strings whose
+exact ``yes``/``no`` words are decoded for every column at once, and a
+per-block comma count validates the row widths.  Any block the fast
+tokenizer cannot handle exactly — quoted fields, blank lines, stray
+vocabulary (``TRUE``), numeric literals only Python's ``float`` accepts
+(digit-group underscores), width errors — hands the *rest of the file* to
+the legacy ``csv.reader`` + per-column parser, so values, schema inference,
+and error messages are identical to the pre-fast-path reader on every input.
+``fast=False`` forces the legacy reader throughout (the benchmarks use it to
+time the old configuration verbatim).
+
+Schema inference is guess-and-verify: the :func:`infer_schema` rules applied
+to the *first data row* guess each column's kind, and the typed parse that
+runs anyway is the check.  A Boolean guess that parses means every value is
+in the yes/no vocabulary; a numeric guess starts from a value outside it, so
+a clean parse means every value is numeric and the column is not Boolean.
+Either way the guess equals what the rules give over the whole block.  When
+row 1 cannot tell (an empty field, a value that is neither) or the typed
+parse rejects the guess, the rules run over a byte-string matrix of the
+block (or the whole file) instead — the exact, slower digest.
 
 Both readers accept a ``columns=`` projection: only the named columns are
 parsed and materialized, which is what lets the pipeline's boundary-sampling
@@ -69,6 +79,15 @@ __all__ = [
 _BOOLEAN_VOCABULARY = BOOLEAN_TRUE_LITERALS | BOOLEAN_FALSE_LITERALS
 _TRUE_BYTES = np.array(sorted(w.encode("utf-8") for w in BOOLEAN_TRUE_LITERALS))
 _FALSE_BYTES = np.array(sorted(w.encode("utf-8") for w in BOOLEAN_FALSE_LITERALS))
+_VOCABULARY = np.array(sorted(_BOOLEAN_VOCABULARY))
+_VOCABULARY_BYTES = np.array(sorted(w.encode("utf-8") for w in _BOOLEAN_VOCABULARY))
+# The fast tokenizer's Boolean field width, and the exact ``yes`` / ``no``
+# fields (NUL-padded) read as one machine word each.
+_BOOLEAN_FIELD_BYTES = 8
+_YES_WORD, _NO_WORD = (
+    np.frombuffer(word.ljust(_BOOLEAN_FIELD_BYTES, b"\0"), dtype=np.uint64)[0]
+    for word in (b"yes", b"no")
+)
 
 #: Default tuples per chunk for :func:`read_csv_chunks` (bounds the resident
 #: memory of an out-of-core scan at roughly ``chunk_size x num_columns``
@@ -212,11 +231,13 @@ def _boolean_column(name: str, stripped: np.ndarray) -> np.ndarray:
 
 
 def _block_disqualified(text: str) -> bool:
-    """Whether a raw line block needs the legacy ``csv.reader`` semantics.
+    """Whether a ``\\n``-terminated line block needs ``csv.reader`` semantics.
 
     Quote characters can hide delimiters (and span lines), and blank lines
     are skipped by the row-based reader while they would silently vanish from
     the fast tokenizer's row accounting — both route to the legacy path.
+    Line endings must already be normalized, or a CRLF blank line
+    (``"\\r\\n\\r\\n"``) would slip through.
     """
     return '"' in text or "\n\n" in text or text.startswith("\n")
 
@@ -230,10 +251,10 @@ def _normalized_fast_block(text: str, width: int) -> str | None:
     contains mis-sized rows (narrower *or* wider than the header) and is
     handed to the legacy reader for its exact error message.
     """
-    if _block_disqualified(text):
-        return None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if _block_disqualified(text):
+        return None
     if not text.endswith("\n"):
         text += "\n"
     if text.count(",") != text.count("\n") * (width - 1):
@@ -296,7 +317,8 @@ class _FastBlockParser:
         # 8 bytes comfortably hold every Boolean vocabulary literal; longer
         # values truncate, can no longer match the (≤5-byte) vocabulary, and
         # fall through to the exact legacy parser.
-        fields += [(f"b{index}", "S8") for index in range(len(self.boolean_names))]
+        boolean_fields = [f"b{index}" for index in range(len(self.boolean_names))]
+        fields += [(name, f"S{_BOOLEAN_FIELD_BYTES}") for name in boolean_fields]
         # Row-width sentinel: the tokenizer must reach the last field so a
         # row with missing fields errors even under a narrow projection.
         if self.width - 1 not in usecols:
@@ -304,47 +326,143 @@ class _FastBlockParser:
             fields.append(("sentinel", "S1"))
         self.usecols = usecols
         self.dtype = np.dtype(fields)
+        # Where the Boolean fields sit in a record, read from the dtype: they
+        # are packed back to back, so one strided view covers them all.
+        offsets = [self.dtype.fields[name][1] for name in boolean_fields]
+        assert all(
+            following - offset == _BOOLEAN_FIELD_BYTES
+            for offset, following in zip(offsets, offsets[1:])
+        )
+        self.boolean_start = offsets[0] if offsets else 0
         self.chunk_schema = chunk_schema
+
+    def _boolean_columns(self, records: np.ndarray) -> dict[str, np.ndarray] | None:
+        """Decode every Boolean field of a record block, ``None`` for legacy.
+
+        One comparison of all fields against the ``yes`` and ``no`` words
+        answers each column whose values are exactly those words; any other
+        column goes through :func:`_boolean_from_bytes`, with its truncation
+        guard and its legacy handoff.
+        """
+        if not self.boolean_names:
+            return {}
+        words = np.ndarray(
+            (len(records), len(self.boolean_names)),
+            dtype=np.uint64,
+            buffer=records,
+            offset=self.boolean_start,
+            strides=(records.strides[0], _BOOLEAN_FIELD_BYTES),
+        )
+        truthy = words == _YES_WORD
+        exact = (truthy | (words == _NO_WORD)).all(axis=0)
+        truthy = np.ascontiguousarray(truthy.T)
+        columns: dict[str, np.ndarray] = {}
+        for index, name in enumerate(self.boolean_names):
+            if exact[index]:
+                columns[name] = truthy[index]
+                continue
+            converted = _boolean_from_bytes(
+                np.ascontiguousarray(records[f"b{index}"])
+            )
+            if converted is None:
+                return None
+            columns[name] = converted
+        return columns
 
     def parse(self, text: str) -> Relation | None:
         """One block → a typed relation chunk, or ``None`` for the legacy path."""
+        columns = self.columns(text)
+        if columns is None:
+            return None
+        return Relation.from_columns(self.chunk_schema, columns)
+
+    def columns(self, text: str) -> dict[str, np.ndarray] | None:
+        """One block → its typed columns, or ``None`` for the legacy path."""
         normalized = _normalized_fast_block(text, self.width)
         if normalized is None:
             return None
-        text = normalized
-        columns: dict[str, np.ndarray] = {}
         try:
             # One tokenizer pass converts every requested column natively:
             # the structured dtype parses numeric fields straight to float64
             # in C and Boolean fields to fixed-width byte strings.
             records = np.atleast_1d(
                 np.loadtxt(
-                    StringIO(text),
+                    StringIO(normalized),
                     delimiter=",",
                     usecols=self.usecols,
                     dtype=self.dtype,
                     comments=None,
                 )
             )
-            for index, name in enumerate(self.numeric_names):
-                columns[name] = np.ascontiguousarray(records[f"n{index}"])
-            for index, name in enumerate(self.boolean_names):
-                converted = _boolean_from_bytes(
-                    np.ascontiguousarray(records[f"b{index}"])
-                )
-                if converted is None:
-                    return None
-                columns[name] = converted
         except ValueError:
             return None
-        return Relation.from_columns(self.chunk_schema, columns)
+        booleans = self._boolean_columns(records)
+        if booleans is None:
+            return None
+        columns = {
+            name: np.ascontiguousarray(records[f"n{index}"])
+            for index, name in enumerate(self.numeric_names)
+        }
+        columns.update(booleans)
+        return columns
 
 
-def _infer_schema_from_bytes(header: Sequence[str], matrix: np.ndarray) -> Schema:
-    """The :func:`infer_schema` column rules applied to a byte-string matrix."""
+def _first_row_guess(header: Sequence[str], text: str) -> Schema | None:
+    """The schema the first row of a normalized block implies, if it tells.
+
+    ``None`` when the row is not ``len(header)`` wide, has an empty field
+    (no evidence for that column) or a value that is neither Boolean nor
+    numeric: the exact digest decides those.
+    """
+    fields = text[: text.index("\n")].split(",")
+    if len(fields) != len(header) or not all(field.strip() for field in fields):
+        return None
+    digest = _SchemaDigest(header)
+    digest.update_rows([fields])
+    try:
+        return digest.schema()
+    except RelationError:
+        return None
+
+
+def _bytes_matrix(text: str, width: int) -> np.ndarray | None:
+    """A normalized block as the byte-string matrix of the exact digest.
+
+    ``None`` when the tokenizer rejects the block or its rows are not
+    ``width`` fields wide; the legacy reader then decides (and raises).
+    """
+    try:
+        matrix = np.loadtxt(
+            StringIO(text), delimiter=",", dtype=np.bytes_, comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    return matrix if matrix.shape[1] == width else None
+
+
+def _infer_first_block(
+    header: Sequence[str], text: str
+) -> tuple[Schema, dict[str, np.ndarray] | None] | None:
+    """The schema of a normalized first block, verified by its typed parse.
+
+    Returns ``(schema, parsed)``.  When the first-row guess survives the
+    typed parse of the whole block, ``parsed`` holds every column of that
+    parse; otherwise the schema comes from the byte-matrix digest and
+    ``parsed`` is ``None`` (the caller parses).  Returns ``None`` when the
+    block needs the legacy reader to infer; raises :class:`RelationError`
+    when the digest finds a column that is neither Boolean nor numeric.
+    """
+    guess = _first_row_guess(header, text)
+    if guess is not None:
+        parsed = _FastBlockParser(header, guess).columns(text)
+        if parsed is not None:
+            return guess, parsed
+    matrix = _bytes_matrix(text, len(header))
+    if matrix is None:
+        return None
     digest = _SchemaDigest(header)
     digest.update_matrix(matrix)
-    return digest.schema()
+    return digest.schema(), None
 
 
 def _iter_line_blocks(handle, chunk_size: int) -> Iterator[list[str]]:
@@ -401,6 +519,11 @@ def read_csv_first_chunk(
     the parsed chunk, so the inference work is not repeated on the next
     scan.
 
+    The schema is guessed from the first data row and verified by the typed
+    parse of the block, so a well-formed file is tokenized once; when the
+    guess fails, the block's byte-matrix digest decides, exactly as
+    :func:`read_csv_chunks` would.
+
     Raises
     ------
     RelationError
@@ -415,25 +538,14 @@ def read_csv_first_chunk(
     if not block:
         raise RelationError(f"CSV file {path} contains no data rows")
     text = _normalized_fast_block("".join(block), len(header))
-    if text is None:
+    inferred = None if text is None else _infer_first_block(header, text)
+    if inferred is None:
         return None
-    try:
-        matrix = np.loadtxt(
-            StringIO(text),
-            delimiter=",",
-            dtype=np.bytes_,
-            comments=None,
-            ndmin=2,
-        )
-    except ValueError:
-        return None
-    if matrix.shape[1] != len(header):
-        return None
-    schema = _infer_schema_from_bytes(header, matrix)
+    schema, parsed = inferred
+    if parsed is not None:
+        return Relation.from_columns(schema, parsed), len(block)
     chunk = _FastBlockParser(header, schema).parse(text)
-    if chunk is None:
-        return None
-    return chunk, len(block)
+    return None if chunk is None else (chunk, len(block))
 
 
 class _BoundedRaw(io_module.RawIOBase):
@@ -568,34 +680,31 @@ def read_csv_chunks(
         consumed = 1 + skip_lines
         for block in _iter_line_blocks(handle, chunk_size) if fast else iter(()):
             text = "".join(block)
+            chunk = None
             if schema is None:
-                inferred = None
                 normalized = _normalized_fast_block(text, len(header))
-                if normalized is not None:
-                    try:
-                        matrix = np.loadtxt(
-                            StringIO(normalized),
-                            delimiter=",",
-                            dtype=np.bytes_,
-                            comments=None,
-                            ndmin=2,
-                        )
-                    except ValueError:
-                        matrix = None
-                    if matrix is not None and matrix.shape[1] == len(header):
-                        inferred = _infer_schema_from_bytes(header, matrix)
+                inferred = (
+                    None if normalized is None
+                    else _infer_first_block(header, normalized)
+                )
                 if inferred is None:
                     yield from _legacy_chunks(
                         chain(block, handle), header, schema, columns,
                         path, chunk_size, consumed,
                     )
                     return
-                schema = inferred
+                schema, parsed = inferred
                 chunk_schema = _resolve_projection(schema, columns)
+                if parsed is not None:
+                    chunk = Relation.from_columns(
+                        chunk_schema,
+                        {name: parsed[name] for name in chunk_schema.names()},
+                    )
             if parser is None:
                 assert chunk_schema is not None
                 parser = _FastBlockParser(header, chunk_schema)
-            chunk = parser.parse(text)
+            if chunk is None:
+                chunk = parser.parse(text)
             if chunk is None:
                 yield from _legacy_chunks(
                     chain(block, handle), header, schema, columns,
@@ -668,9 +777,13 @@ def infer_csv_schema(
         schema = infer_csv_schema("big.csv")
         source = CSVSource("big.csv", schema=schema)
 
-    The scan uses the same fast block tokenizer as :func:`read_csv_chunks`
-    (with the same legacy fallback), so inferring a wide catalog file costs
-    a fraction of parsing it.
+    The scan guesses the schema from the first data row and typed-parses
+    every block under that guess with the fast tokenizer of
+    :func:`read_csv_chunks`; when every block parses, the guess is the
+    answer.  At the first block that rejects it (or when row 1 cannot
+    tell), inference restarts from the top with the exact per-value digest,
+    so a file whose column changes kind after row 1 pays that digest's cost
+    but never gets a different schema or error.
     """
     if chunk_size <= 0:
         raise RelationError("chunk_size must be positive")
@@ -678,25 +791,43 @@ def infer_csv_schema(
     if not path.exists():
         raise RelationError(f"CSV file {path} does not exist")
     with path.open("r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = _read_header(reader, path)
+        header = _read_header(csv.reader(handle), path)
+        guess = _verified_guess(handle, header, chunk_size)
+    if guess is not None:
+        return guess
+    return _digest_csv_schema(path, chunk_size)
+
+
+def _verified_guess(handle, header: Sequence[str], chunk_size: int) -> Schema | None:
+    """The first-row schema guess, if the typed parse of every block holds it.
+
+    ``None`` when the file has no data rows, row 1 cannot tell, or some
+    block needs the legacy reader or contradicts the guess.
+    """
+    guess: Schema | None = None
+    for block in _iter_line_blocks(handle, chunk_size):
+        text = "".join(block)
+        if guess is None:
+            normalized = _normalized_fast_block(text, len(header))
+            guess = None if normalized is None else _first_row_guess(header, normalized)
+            if guess is None:
+                return None
+            parser = _FastBlockParser(header, guess)
+        if parser.columns(text) is None:
+            return None
+    return guess
+
+
+def _digest_csv_schema(path: Path, chunk_size: int) -> Schema:
+    """Whole-file inference by the exact per-value digest of every block."""
+    with path.open("r", newline="", encoding="utf-8") as handle:
+        header = _read_header(csv.reader(handle), path)
         digest = _SchemaDigest(header)
         consumed = 1
         for block in _iter_line_blocks(handle, chunk_size):
             text = _normalized_fast_block("".join(block), len(header))
-            matrix = None
-            if text is not None:
-                try:
-                    matrix = np.loadtxt(
-                        StringIO(text),
-                        delimiter=",",
-                        dtype=np.bytes_,
-                        comments=None,
-                        ndmin=2,
-                    )
-                except ValueError:
-                    matrix = None
-            if matrix is None or matrix.shape[1] != len(header):
+            matrix = None if text is None else _bytes_matrix(text, len(header))
+            if matrix is None:
                 _digest_legacy_rows(
                     chain(block, handle), digest, header, path, chunk_size, consumed
                 )
@@ -707,7 +838,13 @@ def infer_csv_schema(
 
 
 class _SchemaDigest:
-    """Per-column boolean/numeric evidence accumulated across scan blocks."""
+    """Per-column boolean/numeric evidence accumulated across scan blocks.
+
+    This is where the inference rules live: a column is Boolean when it has
+    a non-empty value and every non-empty value is in the yes/no vocabulary,
+    numeric when every non-empty value parses as a float (or it has none),
+    and an error otherwise.
+    """
 
     def __init__(self, header: Sequence[str]) -> None:
         self.header = list(header)
@@ -718,54 +855,35 @@ class _SchemaDigest:
     def update_matrix(self, matrix: np.ndarray) -> None:
         """Digest one fast-path byte matrix."""
         for index in range(len(self.header)):
-            if not (self.all_boolean[index] or self.all_numeric[index]):
-                continue
-            stripped = np.char.strip(np.ascontiguousarray(matrix[:, index]))
-            values = stripped[stripped != b""]
-            if values.size == 0:
-                continue
-            self.has_values[index] = True
-            if self.all_boolean[index]:
-                lowered = np.char.lower(values)
-                in_vocabulary = np.isin(lowered, _TRUE_BYTES) | np.isin(
-                    lowered, _FALSE_BYTES
-                )
-                self.all_boolean[index] = bool(in_vocabulary.all())
-            if self.all_numeric[index]:
-                try:
-                    values.astype(np.float64)
-                except ValueError:
-                    try:
-                        for value in values:
-                            float(value)
-                    except ValueError:
-                        self.all_numeric[index] = False
+            self._update(index, matrix[:, index], b"", _VOCABULARY_BYTES)
 
     def update_rows(self, rows: Sequence[Sequence[str]]) -> None:
-        """Digest one legacy block of string rows."""
-        for index, raw in enumerate(zip(*rows)):
-            if not (self.all_boolean[index] or self.all_numeric[index]):
-                continue
-            stripped = np.char.strip(np.asarray(raw, dtype=str))
-            values = stripped[stripped != ""]
-            if values.size == 0:
-                continue
-            self.has_values[index] = True
-            if self.all_boolean[index]:
-                self.all_boolean[index] = bool(
-                    np.isin(
-                        np.char.lower(values), sorted(_BOOLEAN_VOCABULARY)
-                    ).all()
-                )
-            if self.all_numeric[index]:
+        """Digest one block of string rows (fields past the header are ignored)."""
+        for index, raw in zip(range(len(self.header)), zip(*rows)):
+            self._update(index, np.asarray(raw, dtype=str), "", _VOCABULARY)
+
+    def _update(self, index: int, raw: np.ndarray, empty, vocabulary) -> None:
+        """Digest one column's raw values (``str`` or ``bytes``)."""
+        if not (self.all_boolean[index] or self.all_numeric[index]):
+            return
+        stripped = np.char.strip(raw)
+        values = stripped[stripped != empty]
+        if values.size == 0:
+            return
+        self.has_values[index] = True
+        if self.all_boolean[index]:
+            self.all_boolean[index] = bool(
+                np.isin(np.char.lower(values), vocabulary).all()
+            )
+        if self.all_numeric[index]:
+            try:
+                values.astype(np.float64)
+            except ValueError:
                 try:
-                    values.astype(np.float64)
+                    for value in values:
+                        float(value)
                 except ValueError:
-                    try:
-                        for value in values:
-                            float(value)
-                    except ValueError:
-                        self.all_numeric[index] = False
+                    self.all_numeric[index] = False
 
     def schema(self) -> Schema:
         """Resolve the accumulated evidence into a schema (or raise)."""
@@ -816,31 +934,10 @@ def infer_schema(header: Sequence[str], rows: Iterable[Sequence[str]]) -> Schema
 
     A column is Boolean when every non-empty value belongs to the yes/no
     vocabulary (``yes/no``, ``true/false``, ``0/1`` and single-letter forms);
-    otherwise it must parse as a float and becomes numeric.
+    otherwise it must parse as a float and becomes numeric.  A column with
+    no values at all is numeric; the first column (in header order) that is
+    neither raises :class:`RelationError`.
     """
-    rows = list(rows)
-    if rows:
-        transposed = list(zip(*rows))
-    else:
-        transposed = [() for _ in header]
-    attributes: list[Attribute] = []
-    for name, raw in zip(header, transposed):
-        stripped = np.char.strip(np.asarray(raw, dtype=str))
-        values = stripped[stripped != ""]
-        if values.size and np.isin(
-            np.char.lower(values), sorted(_BOOLEAN_VOCABULARY)
-        ).all():
-            attributes.append(Attribute.boolean(name))
-            continue
-        try:
-            values.astype(np.float64)
-        except ValueError:
-            try:
-                for value in values:
-                    float(value)
-            except ValueError as exc:
-                raise RelationError(
-                    f"column {name!r} is neither boolean-like nor numeric"
-                ) from exc
-        attributes.append(Attribute.numeric(name))
-    return Schema(tuple(attributes))
+    digest = _SchemaDigest(header)
+    digest.update_rows(list(rows))
+    return digest.schema()
